@@ -46,9 +46,7 @@ std::vector<double> RunBlobSeer(const std::vector<size_t>& writer_counts,
     opts.provider_cpu_us = 100;  // 16 KB pages: cheap requests
     core::SimCluster cluster(&sched, opts);
     sched.SetCurrentNode(cluster.client_node(0));
-    client::ClientOptions copts;
-    copts.data_fanout = 16;
-    auto owner = cluster.NewClient(copts);
+    auto owner = cluster.NewClient();
     auto id = owner->Create(kPsize);
     if (!id.ok()) return;
     // Pre-populate in 4 MB slabs.
@@ -70,7 +68,7 @@ std::vector<double> RunBlobSeer(const std::vector<size_t>& writer_counts,
       for (size_t w = 0; w < writers; w++) {
         tasks.push_back(sched.Spawn([&, w] {
           sched.SetCurrentNode(cluster.client_node(w));
-          auto client = cluster.NewClient(copts);
+          auto client = cluster.NewClient();
           Rng rng(w + 1);
           std::string data(kPsize, static_cast<char>('A' + w % 26));
           for (size_t i = 0; i < updates_each; i++) {
@@ -142,7 +140,10 @@ std::vector<double> RunCentral(const std::vector<size_t>& writer_counts,
             PageId pid{(phase + 1) * 1000 + w + 100, i + 1};
             std::string prov_addr = simnet::SimTransport::MakeAddress(
                 cluster.provider_node(page % 16), "provider");
-            if (!pages.WritePage(prov_addr, pid, Slice(data)).ok()) return;
+            if (!pages.WritePageAsync(prov_addr, pid, Slice(data))
+                     .Wait(&cluster.executor())
+                     .ok())
+              return;
             if (!m.Update(*id, page, {{pid, ProviderId(page % 16)}},
                           blob_pages * kPsize)
                      .ok())

@@ -29,9 +29,7 @@ Point RunPsize(uint64_t psize, uint64_t total_bytes) {
     opts.num_client_nodes = 1;
     core::SimCluster cluster(&sched, opts);
     sched.SetCurrentNode(cluster.client_node(0));
-    client::ClientOptions copts;
-    copts.data_fanout = 16;
-    auto client = cluster.NewClient(copts);
+    auto client = cluster.NewClient();
     auto id = client->Create(psize);
     if (!id.ok()) return;
 
@@ -51,8 +49,8 @@ Point RunPsize(uint64_t psize, uint64_t total_bytes) {
     std::string out;
     if (!client->Read(*id, last, 0, total_bytes, &out).ok()) return;
     p.read_mbps = static_cast<double>(total_bytes) / (sched.Now() - t0);
-    uint64_t bytes = 0;
-    (void)client->dht().TotalStats(&p.meta_keys, &bytes);
+    auto stats = client->dht().TotalStatsAsync().Wait(&cluster.executor());
+    if (stats.ok()) p.meta_keys = stats->keys;
   });
   return p;
 }

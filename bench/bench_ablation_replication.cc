@@ -200,7 +200,7 @@ ChurnResult RunChurnPass(uint64_t psize, uint64_t total,
                                      (*cluster)->pmanager_address());
   auto* table = (*cluster)->pmanager().location_table();
   while (restore.ElapsedSeconds() < 60.0 && !res.healed) {
-    auto st = pm.FetchStats();
+    auto st = pm.FetchStatsAsync().Wait();
     if (!st.ok()) return res;
     res.rebuilt_pages = st->rebuilt_pages;
     res.healed = st->dead >= 1 && st->under_replicated == 0 &&

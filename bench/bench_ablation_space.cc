@@ -97,7 +97,7 @@ bool RunOverwritePass(const SpaceConfig& cfg, bool retain, PassResult* out) {
                                       (*cluster)->vmanager_address());
     lifecycle::RetentionPolicy policy;
     policy.keep_last_k = cfg.keep_last_k;
-    if (!vm.SetRetention(*id, policy).ok()) return false;
+    if (!vm.SetRetentionAsync(*id, policy).Wait().ok()) return false;
     lifecycle::GcOptions go;
     go.interval_us = 0;  // driven by hand below
     go.max_sweep_per_pass = 1 << 16;

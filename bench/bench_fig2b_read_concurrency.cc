@@ -31,8 +31,7 @@ struct Outcome {
 };
 
 Outcome RunReaders(size_t provider_nodes, size_t readers, uint64_t psize,
-                   uint64_t chunk_bytes, double provider_cpu_us,
-                   size_t read_fanout) {
+                   uint64_t chunk_bytes, double provider_cpu_us) {
   simnet::SimScheduler sched;
   Outcome out;
   sched.Run([&] {
@@ -43,9 +42,7 @@ Outcome RunReaders(size_t provider_nodes, size_t readers, uint64_t psize,
     core::SimCluster cluster(&sched, opts);
     sched.SetCurrentNode(cluster.client_node(0));
 
-    client::ClientOptions wopts;
-    wopts.data_fanout = 16;
-    auto writer = cluster.NewClient(wopts);
+    auto writer = cluster.NewClient();
     auto id = writer->Create(psize);
     if (!id.ok()) return;
 
@@ -76,10 +73,7 @@ Outcome RunReaders(size_t provider_nodes, size_t readers, uint64_t psize,
       tasks.push_back(sched.Spawn([&, r] {
         sched.SetCurrentNode(
             cluster.provider_node(r % cluster.num_provider_nodes()));
-        client::ClientOptions ropts;
-        ropts.data_fanout = read_fanout;
-        ropts.meta_fanout = 16;
-        auto reader = cluster.NewClient(ropts);
+        auto reader = cluster.NewClient();
         double t0 = sched.Now();
         std::string buf;
         Status s = reader->Read(*id, last, r * chunk_bytes, chunk_bytes, &buf);
@@ -113,7 +107,6 @@ int main(int argc, char** argv) {
   size_t provider_nodes =
       bench::FlagU64(argc, argv, "providers", quick ? 16 : 173);
   double provider_cpu = bench::FlagDouble(argc, argv, "provider_cpu_us", 1300);
-  size_t read_fanout = bench::FlagU64(argc, argv, "read_fanout", 4);
 
   printf("== Figure 2(b): read throughput under concurrency ==\n");
   printf("   (%zu co-deployed data+meta provider nodes; readers co-deployed "
@@ -127,8 +120,7 @@ int main(int argc, char** argv) {
       quick ? std::vector<size_t>{1, 8, 16} : std::vector<size_t>{1, 100, 175};
   std::vector<double> avgs;
   for (size_t n : reader_counts) {
-    Outcome o = RunReaders(provider_nodes, n, psize, chunk, provider_cpu,
-                           read_fanout);
+    Outcome o = RunReaders(provider_nodes, n, psize, chunk, provider_cpu);
     avgs.push_back(o.avg_mbps);
     table.AddRow({std::to_string(n), StrFormat("%.1f", o.avg_mbps),
                   StrFormat("%.1f", o.min_mbps), StrFormat("%.1f", o.max_mbps),

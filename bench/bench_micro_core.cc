@@ -44,7 +44,7 @@ BENCHMARK(BM_UpdateBorderBlocks)->Arg(1024)->Arg(65536)->Arg(1 << 20);
 
 void BM_MetaNodeCodec(benchmark::State& state) {
   meta::MetaNode leaf = meta::MetaNode::Leaf(
-      {meta::PageFragment{PageId{1, 2}, {7}, 0, 65536, 0}}, 12, 3);
+      {meta::PageFragment{PageId{1, 2}, 0, 65536, 0}}, 12, 3);
   for (auto _ : state) {
     BinaryWriter w;
     leaf.EncodeTo(&w);

@@ -83,7 +83,6 @@ void MergeClientStats(blobseer::client::ClientStats* into,
   into->read_repairs += s.read_repairs;
   into->degraded_writes += s.degraded_writes;
   into->locations_published += s.locations_published;
-  into->location_seeds += s.location_seeds;
   into->location_refreshes += s.location_refreshes;
   into->dedup_hits += s.dedup_hits;
 }
@@ -163,7 +162,6 @@ JsonObject ClientJson(const blobseer::client::ClientStats& s) {
   o.PutU64("read_repairs", s.read_repairs);
   o.PutU64("degraded_writes", s.degraded_writes);
   o.PutU64("locations_published", s.locations_published);
-  o.PutU64("location_seeds", s.location_seeds);
   o.PutU64("location_refreshes", s.location_refreshes);
   return o;
 }
@@ -356,7 +354,7 @@ bool RunRealMixed(const DriverConfig& cfg, const std::string& harness,
   (*cluster)->TotalProviderUsage(&st.store_pages, &st.store_bytes);
   blobseer::pmanager::ProviderManagerClient pm((*cluster)->transport(),
                                                (*cluster)->pmanager_address());
-  auto pm_stats = pm.FetchStats();
+  auto pm_stats = pm.FetchStatsAsync().Wait();
   if (pm_stats.ok()) {
     st.pm = *pm_stats;
     st.have_pm = true;
@@ -462,7 +460,7 @@ bool RunSimMixed(const DriverConfig& cfg, Table* summary) {
     }
     blobseer::pmanager::ProviderManagerClient pm(&cluster.transport(),
                                                  cluster.pm_address());
-    auto pm_stats = pm.FetchStats();
+    auto pm_stats = pm.FetchStatsAsync().Wait(&cluster.executor());
     if (pm_stats.ok()) {
       st.pm = *pm_stats;
       st.have_pm = true;
@@ -618,7 +616,7 @@ bool RunScale(const DriverConfig& cfg, Table* summary) {
                                                    cluster.pm_address());
       const uint64_t deadline = kill_at + 600ull * 1000 * 1000;
       for (;;) {
-        auto stats = pm.FetchStats();
+        auto stats = pm.FetchStatsAsync().Wait(&cluster.executor());
         bool drained = true;
         for (size_t d : drains) {
           auto dr = cluster.Decommission(d);  // idempotent drain poll
@@ -671,7 +669,7 @@ bool RunScale(const DriverConfig& cfg, Table* summary) {
     }
     blobseer::pmanager::ProviderManagerClient pm(&cluster.transport(),
                                                  cluster.pm_address());
-    auto pm_stats = pm.FetchStats();
+    auto pm_stats = pm.FetchStatsAsync().Wait(&cluster.executor());
     if (pm_stats.ok()) {
       st.pm = *pm_stats;
       st.have_pm = true;

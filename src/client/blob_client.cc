@@ -64,80 +64,13 @@ struct BlobClient::ReadOp {
   Promise<std::string> promise;
 };
 
-struct BlobClient::SyncOp {
-  BlobClient* c = nullptr;
-  BlobId id = kInvalidBlobId;
-  Version version = kNoVersion;
-  uint64_t timeout_us = kNoTimeout;
-  uint64_t waited = 0;
-  Promise<Unit> promise;
-
-  // Server-push mode (blocking_sync): a single AwaitPublished RPC carries
-  // the full timeout; the server parks a subscription and completes the
-  // response from the publisher (or its timeout watchdog), so the client
-  // hears about publication one network trip after it happens — no re-armed
-  // wait slices, and no thread held anywhere in between.
-  void Subscribe(const std::shared_ptr<SyncOp>& self) {
-    c->vm_.AwaitPublishedAsync(id, version, timeout_us)
-        .OnReady(nullptr, [self](Result<Unit> r) {
-          if (r.ok()) {
-            self->promise.Set(Unit{});
-          } else {
-            self->promise.Set(r.status());
-          }
-        });
-  }
-
-  // Polling fallback (blocking_sync = false): non-blocking probes separated
-  // by sync_poll_us naps taken on an executor task. Kept as an operational
-  // knob for deployments that would rather trade publication latency than
-  // hold server-side subscription state.
-  void Step(const std::shared_ptr<SyncOp>& self) {
-    c->vm_.AwaitPublishedAsync(id, version, 0)
-        .OnReady(nullptr, [self](Result<Unit> r) {
-          if (r.ok()) {
-            self->promise.Set(Unit{});
-            return;
-          }
-          if (!r.status().IsTimedOut()) {
-            self->promise.Set(r.status());
-            return;
-          }
-          uint64_t remaining = self->timeout_us == kNoTimeout
-                                   ? UINT64_MAX
-                                   : self->timeout_us - self->waited;
-          // Sleep first, charge after: the final (partial) nap must
-          // elapse before the timeout fires, like the classic poll loop.
-          uint64_t nap =
-              std::min<uint64_t>(self->c->options_.sync_poll_us, remaining);
-          self->c->executor_->Schedule([self, nap] {
-            self->c->clock_->SleepForMicros(nap);
-            if (!self->Account(nap)) return;
-            self->Step(self);
-          });
-        });
-  }
-
-  /// Charges `step` against the timeout; false (after failing the promise)
-  /// when the budget is exhausted.
-  bool Account(uint64_t step) {
-    if (timeout_us == kNoTimeout) return true;
-    waited += step;
-    if (waited >= timeout_us) {
-      promise.Set(Status::TimedOut("SYNC timeout"));
-      return false;
-    }
-    return true;
-  }
-};
-
 BlobClient::BlobClient(rpc::Transport* transport, std::string vmanager_address,
                        std::string pmanager_address,
                        std::vector<std::string> dht_nodes,
-                       ClientOptions options, Clock* clock, Executor* executor)
+                       ClientOptions options, Clock* /*clock*/,
+                       Executor* executor)
     : transport_(transport),
       options_(options),
-      clock_(clock ? clock : RealClock::Default()),
       owned_executor_(executor
                           ? nullptr
                           : std::make_unique<ThreadPoolExecutor>(
@@ -154,14 +87,9 @@ BlobClient::BlobClient(rpc::Transport* transport, std::string vmanager_address,
              return o;
            }()),
       locator_(&dht_, options.cache_capacity),
-      meta_(&dht_, executor_,
-            meta::MetaClientOptions{options.cache_metadata,
-                                    options.cache_capacity,
-                                    options.meta_fanout}),
+      meta_(&dht_, meta::MetaClientOptions{options.cache_metadata,
+                                           options.cache_capacity}),
       providers_(transport, options.channels_per_endpoint) {
-  // A zero (or near-zero) poll interval would busy-spin probe RPCs through
-  // the executor for the whole wait; enforce a floor.
-  options_.sync_poll_us = std::max<uint64_t>(options_.sync_poll_us, 50);
   // Non-zero, process-unique prefix for page ids.
   Rng rng(RealClock::Default()->NowMicros() ^
           reinterpret_cast<uintptr_t>(this));
@@ -1051,11 +979,10 @@ Future<std::vector<BlobClient::FetchPiece>> BlobClient::ResolveLeafPiecesAsync(
             rest.push_back(iv);
             continue;
           }
-          // v3 fragments carry no providers: the fetch stage resolves the
-          // replica set through the location index. legacy_providers (only
-          // populated by pre-v3 leaves) rides along as the seed/fallback.
-          out.push_back(FetchPiece{frag.pid, frag.legacy_providers,
-                                   frag.data_off + (ob - fb), oe - ob, ob});
+          // Fragments carry no providers: the fetch stage resolves the
+          // replica set through the location index.
+          out.push_back(FetchPiece{frag.pid, {}, frag.data_off + (ob - fb),
+                                   oe - ob, ob});
           if (iv.begin < ob) rest.push_back(Interval{iv.begin, ob});
           if (oe < iv.end) rest.push_back(Interval{oe, iv.end});
         }
@@ -1139,34 +1066,19 @@ void BlobClient::RepairReplicasAsync(FetchPiece piece, size_t good) {
       });
 }
 
-void BlobClient::ReportSeededLocation(const PageId& pid,
-                                      const locator::LocationEntry& entry) {
-  // Detached best-effort: the DHT entry is already authoritative; this only
-  // feeds the rebuilder's view. Registered like straggler puts so the
-  // destructor drains it.
-  BeginDetachedOp();
-  pmanager::ReportLocationsRequest req;
-  req.added.push_back(
-      pmanager::PageLocationInfo{pid, entry.epoch, entry.providers});
-  pm_.ReportLocationsAsync(std::move(req))
-      .OnReady(nullptr, [this](Result<Unit>) { EndDetachedOp(); });
-}
-
 Future<Unit> BlobClient::FetchPiecesIntoAsync(std::vector<FetchPiece> pieces,
                                               std::vector<uint64_t> bases,
                                               uint64_t range_offset,
                                               char* dst) {
   // Per-piece chain: resolve the page's current replica set through the
-  // location index (seeding the entry from pre-v3 metadata if absent), then
-  // try replicas in order; any error (dead endpoint, missing object, short
-  // read) advances to the next replica, and a success after a miss triggers
-  // detached read repair. Exhausting the whole set once drops the cached
-  // entry and re-resolves — the rebuilder may have moved the page while
-  // this read was failing over.
+  // location index, then try replicas in order; any error (dead endpoint,
+  // missing object, short read) advances to the next replica, and a success
+  // after a miss triggers detached read repair. Exhausting the whole set
+  // once drops the cached entry and re-resolves — the rebuilder may have
+  // moved the page while this read was failing over.
   struct PieceOp {
     BlobClient* c = nullptr;
-    FetchPiece piece;  // piece.providers = legacy seed (empty for v3 pages)
-    std::vector<ProviderId> replicas;  // resolved set being tried
+    FetchPiece piece;  // piece.providers = resolved set being tried
     char* out = nullptr;  // absolute destination for this piece's bytes
     size_t attempt = 0;
     bool refreshed = false;
@@ -1176,48 +1088,17 @@ Future<Unit> BlobClient::FetchPiecesIntoAsync(std::vector<FetchPiece> pieces,
     void Start(const std::shared_ptr<PieceOp>& self) {
       c->locator_.ResolveAsync(piece.pid).OnReady(
           nullptr, [self](Result<locator::LocationEntry> e) {
-            if (e.ok()) {
-              self->replicas = std::move(e->providers);
-              self->Step(self);
+            if (!e.ok()) {
+              self->promise.Set(e.status());
               return;
             }
-            if (e.status().IsNotFound() && !self->piece.providers.empty()) {
-              self->SeedFromLegacy(self);
-              return;
-            }
-            if (!self->piece.providers.empty()) {
-              // Location store unreachable: the legacy replica set is stale
-              // at worst — still the best shot at serving the read.
-              self->replicas = self->piece.providers;
-              self->Step(self);
-              return;
-            }
-            self->promise.Set(e.status());
-          });
-    }
-
-    // Pre-v3 page: install a location entry from the replica set embedded
-    // in the old metadata, so rebuilds cover legacy pages too. A concurrent
-    // seeder winning the CAS is fine — Seed returns the stored entry.
-    void SeedFromLegacy(const std::shared_ptr<PieceOp>& self) {
-      c->locator_.SeedAsync(piece.pid, piece.providers)
-          .OnReady(nullptr, [self](Result<locator::LocationEntry> seeded) {
-            if (seeded.ok()) {
-              {
-                std::lock_guard<std::mutex> lock(self->c->stats_mu_);
-                self->c->stats_.location_seeds++;
-              }
-              self->c->ReportSeededLocation(self->piece.pid, *seeded);
-              self->replicas = std::move(seeded->providers);
-            } else {
-              self->replicas = self->piece.providers;
-            }
+            self->piece.providers = std::move(e->providers);
             self->Step(self);
           });
     }
 
     void Step(const std::shared_ptr<PieceOp>& self) {
-      if (attempt >= replicas.size()) {
+      if (attempt >= piece.providers.size()) {
         if (!refreshed) {
           Refresh(self);
           return;
@@ -1228,7 +1109,7 @@ Future<Unit> BlobClient::FetchPiecesIntoAsync(std::vector<FetchPiece> pieces,
                         : last_error);
         return;
       }
-      c->pm_.ResolveAddressAsync(replicas[attempt])
+      c->pm_.ResolveAddressAsync(piece.providers[attempt])
           .Then([self](Result<std::string> addr) -> Future<std::string> {
             if (!addr.ok()) return MakeReadyFuture<std::string>(addr.status());
             return self->c->providers_.ReadPageAsync(
@@ -1252,9 +1133,7 @@ Future<Unit> BlobClient::FetchPiecesIntoAsync(std::vector<FetchPiece> pieces,
                 std::lock_guard<std::mutex> lock(self->c->stats_mu_);
                 self->c->stats_.failover_reads++;
               }
-              FetchPiece repair = self->piece;
-              repair.providers = self->replicas;
-              self->c->RepairReplicasAsync(std::move(repair), self->attempt);
+              self->c->RepairReplicasAsync(self->piece, self->attempt);
             }
             self->promise.Set(Unit{});
           });
@@ -1268,12 +1147,12 @@ Future<Unit> BlobClient::FetchPiecesIntoAsync(std::vector<FetchPiece> pieces,
       c->locator_.Invalidate(piece.pid);
       c->locator_.ResolveAsync(piece.pid).OnReady(
           nullptr, [self](Result<locator::LocationEntry> e) {
-            if (e.ok() && e->providers != self->replicas) {
+            if (e.ok() && e->providers != self->piece.providers) {
               {
                 std::lock_guard<std::mutex> lock(self->c->stats_mu_);
                 self->c->stats_.location_refreshes++;
               }
-              self->replicas = std::move(e->providers);
+              self->piece.providers = std::move(e->providers);
               self->attempt = 0;
               self->Step(self);
               return;
@@ -1418,18 +1297,7 @@ Future<uint64_t> BlobClient::GetSizeAsync(BlobId id, Version version) {
 
 Future<Unit> BlobClient::SyncAsync(BlobId id, Version version,
                                    uint64_t timeout_us) {
-  auto op = std::make_shared<SyncOp>();
-  op->c = this;
-  op->id = id;
-  op->version = version;
-  op->timeout_us = timeout_us;
-  Future<Unit> f = op->promise.GetFuture();
-  if (options_.blocking_sync) {
-    op->Subscribe(op);
-  } else {
-    op->Step(op);
-  }
-  return f;
+  return vm_.AwaitPublishedAsync(id, version, timeout_us);
 }
 
 Future<Unit> BlobClient::AbortAsync(BlobId id, Version version) {
@@ -1522,7 +1390,7 @@ Status BlobClient::Abort(BlobId id, Version version) {
 }
 
 Result<BlobId> BlobClient::Branch(BlobId id, Version version) {
-  auto desc = vm_.Branch(id, version);
+  auto desc = vm_.BranchAsync(id, version).Wait(executor_);
   if (!desc.ok()) return desc.status();
   std::lock_guard<std::mutex> lock(mu_);
   BlobId bid = desc->id;

@@ -39,9 +39,6 @@ struct ClientOptions {
   /// Worker threads for the client's internally-owned executor (ignored
   /// when an external executor is supplied).
   size_t io_threads = 16;
-  /// Maximum parallel page transfers per operation (sync helpers; the
-  /// async pipeline is bounded by channels_per_endpoint pipelining).
-  size_t data_fanout = 8;
   /// Distinct providers storing each page (1 = no replication). WRITE fans
   /// every page out to all replicas; READ tries replicas in order with
   /// failover and best-effort read repair.
@@ -59,18 +56,9 @@ struct ClientOptions {
   /// page buffers a replicated write materializes at once); 0 = unlimited,
   /// i.e. the transport's channel pipelining is the only bound.
   size_t max_inflight_pages = 0;
-  /// Maximum parallel metadata (DHT) operations per batch/level.
-  size_t meta_fanout = 16;
   /// Leaf fragment-chain length that triggers page compaction on the next
   /// write to the page (unaligned-write bookkeeping; DESIGN.md 3.2).
   uint32_t max_chain = 16;
-  /// If true (default), SYNC subscribes: one AwaitPublished RPC carries the
-  /// full timeout and the server pushes the response at publish time.
-  /// Otherwise SYNC polls with non-blocking probes every sync_poll_us.
-  bool blocking_sync = true;
-  /// Poll interval for the non-subscribing SYNC mode; clamped to a minimum
-  /// of 50us (0 would busy-spin probes through the executor).
-  uint64_t sync_poll_us = 1000;
   /// Metadata node cache (immutable nodes; safe to cache).
   bool cache_metadata = true;
   size_t cache_capacity = 1 << 16;
@@ -104,8 +92,6 @@ struct ClientStats {
   uint64_t degraded_writes = 0;
   /// Location entries installed for freshly written pages.
   uint64_t locations_published = 0;
-  /// Location entries created from pre-v3 metadata during reads.
-  uint64_t location_seeds = 0;
   /// Reads that re-resolved a page's location after exhausting the cached
   /// replica set (the page had been moved by the rebuilder).
   uint64_t location_refreshes = 0;
@@ -122,8 +108,9 @@ class BlobClient {
 
   /// `dht_nodes` must list the metadata-provider endpoints in the same
   /// order on every client (placement is positional).
-  /// `clock`/`executor` default to the real clock and an owned thread pool;
-  /// the simulator injects virtual-time equivalents.
+  /// `executor` defaults to an owned thread pool; the simulator injects its
+  /// SimExecutor. `clock` is not consulted: SYNC is a server-push
+  /// subscription, so the client paces nothing on a clock of its own.
   BlobClient(rpc::Transport* transport, std::string vmanager_address,
              std::string pmanager_address, std::vector<std::string> dht_nodes,
              ClientOptions options = {}, Clock* clock = nullptr,
@@ -167,8 +154,9 @@ class BlobClient {
   Future<uint64_t> GetSizeAsync(BlobId id, Version version);
 
   /// SYNC: resolves once `version` is published (or TimedOut). The wait is
-  /// a server-push subscription (blocking_sync) or re-polled through the
-  /// executor, so no caller thread is parked either way.
+  /// a server-push subscription: one AwaitPublished RPC carries the full
+  /// timeout and the server answers at publish time, so no thread is
+  /// parked on either side.
   Future<Unit> SyncAsync(BlobId id, Version version,
                          uint64_t timeout_us = kNoTimeout);
 
@@ -254,8 +242,6 @@ class BlobClient {
   struct UpdateOp;
   /// Shared state of one READ chain.
   struct ReadOp;
-  /// Shared state of one SYNC await/poll loop.
-  struct SyncOp;
 
   Future<BlobDescriptor> DescriptorAsync(BlobId id);
   PageId NewPageId();
@@ -291,11 +277,6 @@ class BlobClient {
   /// is unreadable under v3 metadata, so a publish failure fails the update
   /// (the caller's cleanup then deletes the orphaned pages).
   Future<Unit> PublishLocationsAsync(std::shared_ptr<PageWriteBatch> batch);
-
-  /// Detached best-effort report of a location entry just seeded from
-  /// pre-v3 metadata, so the rebuilder learns about legacy pages too.
-  void ReportSeededLocation(const PageId& pid,
-                            const locator::LocationEntry& entry);
 
   /// Best-effort deletion of already-stored pages — every replica of every
   /// page plus its location entry (failure cleanup); waits for the batch's
@@ -355,7 +336,6 @@ class BlobClient {
 
   rpc::Transport* transport_;
   ClientOptions options_;
-  Clock* clock_;
   std::unique_ptr<Executor> owned_executor_;
   Executor* executor_;
 

@@ -1,6 +1,6 @@
-// Parallel-execution strategy abstraction. The client library expresses its
-// page/metadata fan-out as ParallelFor over closures and its future
-// continuations as Schedule'd tasks; the binding to real threads
+// Parallel-execution strategy abstraction. Callers express batch fan-out
+// as ParallelFor over closures, future continuations as Schedule'd tasks
+// and blocking waits through MakeWaitEvent; the binding to real threads
 // (ThreadPoolExecutor), the calling thread (SerialExecutor) or simulated
 // threads (simnet::SimExecutor) is injected.
 #ifndef BLOBSEER_COMMON_EXECUTOR_H_

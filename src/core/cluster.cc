@@ -101,8 +101,10 @@ Result<std::unique_ptr<EmbeddedCluster>> EmbeddedCluster::Start(
     if (!addr.ok()) return addr.status();
     c->provider_services_.push_back(std::move(svc));
     c->provider_addresses_.push_back(std::move(addr).ValueUnsafe());
-    auto id = c->pm_client_->Register(c->provider_addresses_.back(),
-                                      options.provider_capacity_pages);
+    auto id = c->pm_client_
+                  ->RegisterAsync(c->provider_addresses_.back(),
+                                  options.provider_capacity_pages)
+                  .Wait();
     if (!id.ok()) return id.status();
     c->provider_ids_.push_back(*id);
     BS_RETURN_NOT_OK(c->StartProviderHeartbeat(i));
@@ -211,8 +213,10 @@ Status EmbeddedCluster::RestartProvider(size_t index) {
   if (!addr.ok()) return addr.status();
   // Same address -> the provider manager hands back the same id and marks
   // the record alive again.
-  auto id = pm_client_->Register(provider_addresses_[index],
-                                 options_.provider_capacity_pages);
+  auto id = pm_client_
+                ->RegisterAsync(provider_addresses_[index],
+                                options_.provider_capacity_pages)
+                .Wait();
   if (!id.ok()) return id.status();
   provider_ids_[index] = *id;
   return StartProviderHeartbeat(index);
@@ -230,8 +234,10 @@ Result<size_t> EmbeddedCluster::AddProvider() {
   if (!addr.ok()) return addr.status();
   provider_services_.push_back(std::move(svc));
   provider_addresses_.push_back(std::move(addr).ValueUnsafe());
-  auto id = pm_client_->Register(provider_addresses_.back(),
-                                 options_.provider_capacity_pages);
+  auto id = pm_client_
+                ->RegisterAsync(provider_addresses_.back(),
+                                options_.provider_capacity_pages)
+                .Wait();
   if (!id.ok()) return id.status();
   provider_ids_.push_back(*id);
   // The heartbeat executor was sized with spare workers for a few joins.
@@ -243,7 +249,7 @@ Result<pmanager::DecommissionResponse> EmbeddedCluster::Decommission(
     size_t index) {
   if (index >= provider_ids_.size())
     return Status::InvalidArgument("provider index");
-  return pm_client_->Decommission(provider_ids_[index]);
+  return pm_client_->DecommissionAsync(provider_ids_[index]).Wait();
 }
 
 }  // namespace blobseer::core

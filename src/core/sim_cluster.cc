@@ -66,7 +66,7 @@ SimCluster::SimCluster(simnet::SimScheduler* sched,
     BS_CHECK(transport_->Serve(prov_addr, prov_svc).ok());
     provider_services_.push_back(std::move(prov_svc));
     provider_addresses_.push_back(prov_addr);
-    auto id = pm_client_->Register(prov_addr, 0);
+    auto id = pm_client_->RegisterAsync(prov_addr, 0).Wait(executor_.get());
     BS_CHECK(id.ok()) << id.status().ToString();
     provider_ids_.push_back(*id);
     StartProviderHeartbeat(i);
@@ -192,7 +192,7 @@ Status SimCluster::RestartProvider(size_t index) {
   auto served = transport_->Serve(addr, provider_services_[index]);
   if (!served.ok()) return served.status();
   // Same address -> same id; registration also flips the record alive.
-  auto id = pm_client_->Register(addr, 0);
+  auto id = pm_client_->RegisterAsync(addr, 0).Wait(executor_.get());
   if (!id.ok()) return id.status();
   provider_ids_[index] = *id;
   StartProviderHeartbeat(index);
@@ -202,7 +202,8 @@ Status SimCluster::RestartProvider(size_t index) {
 Result<pmanager::DecommissionResponse> SimCluster::Decommission(size_t index) {
   if (index >= provider_ids_.size())
     return Status::InvalidArgument("provider index");
-  return pm_client_->Decommission(provider_ids_[index]);
+  return pm_client_->DecommissionAsync(provider_ids_[index]).Wait(
+      executor_.get());
 }
 
 void SimCluster::SetHeartbeatLoss(size_t index, bool lost) {

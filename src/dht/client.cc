@@ -1,128 +1,18 @@
 #include "dht/client.h"
 
 #include "common/logging.h"
-#include "rpc/call.h"
 
 namespace blobseer::dht {
 
-namespace {
-
-// Reconnect-once on Unavailable for binding transports (TCP, inproc): a
-// pooled channel opened before an endpoint restart keeps failing even when
-// the endpoint is serving again, so the pool entry is dropped and the call
-// retried on a fresh connection. KV operations are idempotent, so the
-// retry is safe; simnet resolves endpoints per call and opts out via
-// binds_at_connect().
-template <typename Req, typename Rsp>
-Status CallNode(rpc::ChannelPool* pool, const std::string& address,
-                rpc::Method method, const Req& req, Rsp* rsp) {
-  auto ch = pool->Get(address);
-  if (!ch.ok()) return ch.status();
-  Status s = rpc::CallMethod(ch->get(), method, req, rsp);
-  if (!s.IsUnavailable() || !pool->binding()) return s;
-  pool->Invalidate(address);
-  ch = pool->Get(address);
-  if (!ch.ok()) return s;
-  *rsp = Rsp{};
-  return rpc::CallMethod(ch->get(), method, req, rsp);
-}
-
-template <typename Req, typename Rsp>
-Future<Rsp> CallNodeAsync(rpc::ChannelPool* pool, const std::string& address,
-                          rpc::Method method, const Req& req) {
-  auto ch = pool->Get(address);
-  if (!ch.ok()) return MakeReadyFuture<Rsp>(ch.status());
-  // The request is shared with the retry continuation, so the bytes are
-  // serialized twice at most but copied into the closure once.
-  auto shared = std::make_shared<Req>(req);
-  return rpc::CallMethodAsync<Req, Rsp>(ch->get(), method, *shared)
-      .Then([pool, address, method, shared](Result<Rsp> r) -> Future<Rsp> {
-        if (r.ok() || !r.status().IsUnavailable() || !pool->binding())
-          return MakeReadyFuture<Rsp>(std::move(r));
-        pool->Invalidate(address);
-        auto retry = pool->Get(address);
-        if (!retry.ok()) return MakeReadyFuture<Rsp>(std::move(r));
-        return rpc::CallMethodAsync<Req, Rsp>(retry->get(), method, *shared);
-      });
-}
-
-}  // namespace
-
 DhtClient::DhtClient(rpc::Transport* transport, std::vector<std::string> nodes,
                      DhtClientOptions options)
-    : transport_(transport),
-      nodes_(std::move(nodes)),
+    : nodes_(std::move(nodes)),
       options_(options),
       placement_(options.placement == "ring"
                      ? MakeRingPlacement(nodes_.size())
                      : MakeStaticPlacement(nodes_.size())),
-      pool_(transport_, options.channels_per_endpoint) {
+      pool_(transport, options.channels_per_endpoint) {
   BS_CHECK(!nodes_.empty()) << "DhtClient requires at least one node";
-}
-
-Status DhtClient::Put(Slice key, Slice value) {
-  PutRequest req{key.ToString(), value.ToString()};
-  Status first_error;
-  size_t ok_count = 0;
-  for (size_t node : placement_->ReplicaNodes(key, options_.replication)) {
-    PutResponse rsp;
-    Status s =
-        CallNode(&pool_, nodes_[node], rpc::Method::kDhtPut, req, &rsp);
-    if (s.ok()) {
-      ok_count++;
-    } else if (first_error.ok()) {
-      first_error = s;
-    }
-  }
-  // Write succeeds if at least one replica accepted it; readers fall back
-  // across replicas in the same order.
-  if (ok_count > 0) return Status::OK();
-  return first_error.ok() ? Status::Unavailable("dht put") : first_error;
-}
-
-Status DhtClient::Get(Slice key, std::string* value) {
-  GetRequest req{key.ToString()};
-  Status last = Status::NotFound("dht key");
-  for (size_t node : placement_->ReplicaNodes(key, options_.replication)) {
-    GetResponse rsp;
-    Status s =
-        CallNode(&pool_, nodes_[node], rpc::Method::kDhtGet, req, &rsp);
-    if (s.ok()) {
-      *value = std::move(rsp.value);
-      return Status::OK();
-    }
-    last = s;
-  }
-  return last;
-}
-
-Status DhtClient::Cas(Slice key, Slice expected, Slice value,
-                      bool expect_absent, bool* applied,
-                      std::string* current) {
-  *applied = false;
-  current->clear();
-  std::vector<size_t> replicas =
-      placement_->ReplicaNodes(key, options_.replication);
-  if (replicas.empty()) return Status::Unavailable("dht cas: no nodes");
-  CasRequest req{key.ToString(), expected.ToString(), value.ToString(),
-                 expect_absent};
-  CasResponse rsp;
-  // The first placement replica is the linearization point: the conditional
-  // write runs only there, under that node's shard lock.
-  BS_RETURN_NOT_OK(
-      CallNode(&pool_, nodes_[replicas[0]], rpc::Method::kDhtCas, req, &rsp));
-  *applied = rsp.applied;
-  *current = std::move(rsp.current);
-  if (!rsp.applied) return Status::OK();
-  // Best-effort fan-out of the accepted value to the tail replicas; the
-  // authoritative first copy is already durable and readers try it first.
-  PutRequest put{req.key, req.value};
-  for (size_t i = 1; i < replicas.size(); i++) {
-    PutResponse pr;
-    (void)CallNode(&pool_, nodes_[replicas[i]], rpc::Method::kDhtPut, put,
-                   &pr);
-  }
-  return Status::OK();
 }
 
 Future<CasResponse> DhtClient::CasAsync(Slice key, Slice expected,
@@ -133,8 +23,8 @@ Future<CasResponse> DhtClient::CasAsync(Slice key, Slice expected,
     return MakeReadyFuture<CasResponse>(Status::Unavailable("dht cas"));
   CasRequest req{key.ToString(), expected.ToString(), value.ToString(),
                  expect_absent};
-  Future<CasResponse> f = CallNodeAsync<CasRequest, CasResponse>(
-      &pool_, nodes_[replicas[0]], rpc::Method::kDhtCas, req);
+  Future<CasResponse> f = pool_.CallWithReconnect<CasRequest, CasResponse>(
+      nodes_[replicas[0]], rpc::Method::kDhtCas, req);
   if (replicas.size() == 1) return f;
   // Propagate an applied CAS to the tail replicas before resolving, so a
   // caller observing success never races its own propagation.
@@ -146,8 +36,8 @@ Future<CasResponse> DhtClient::CasAsync(Slice key, Slice expected,
     PutRequest put{key, value};
     std::vector<Future<PutResponse>> tail;
     for (size_t i = 1; i < replicas.size(); i++) {
-      tail.push_back(CallNodeAsync<PutRequest, PutResponse>(
-          &pool_, nodes_[replicas[i]], rpc::Method::kDhtPut, put));
+      tail.push_back(pool_.CallWithReconnect<PutRequest, PutResponse>(
+          nodes_[replicas[i]], rpc::Method::kDhtPut, put));
     }
     return WhenAll(std::move(tail))
         .Then([rsp](Result<std::vector<Result<PutResponse>>>)
@@ -159,8 +49,8 @@ Future<Unit> DhtClient::PutAsync(Slice key, Slice value) {
   auto req = PutRequest{key.ToString(), value.ToString()};
   std::vector<Future<PutResponse>> calls;
   for (size_t node : placement_->ReplicaNodes(key, options_.replication)) {
-    calls.push_back(CallNodeAsync<PutRequest, PutResponse>(
-        &pool_, nodes_[node], rpc::Method::kDhtPut, req));
+    calls.push_back(pool_.CallWithReconnect<PutRequest, PutResponse>(
+        nodes_[node], rpc::Method::kDhtPut, req));
   }
   if (calls.empty()) return MakeReadyFuture(Status::Unavailable("dht put"));
   return WhenAll(std::move(calls))
@@ -179,8 +69,9 @@ Future<std::string> DhtClient::GetAsync(Slice key) {
   GetRequest req{key.ToString()};
   auto try_replica = [this](const GetRequest& r,
                             size_t node) -> Future<std::string> {
-    return CallNodeAsync<GetRequest, GetResponse>(
-               &pool_, nodes_[node], rpc::Method::kDhtGet, r)
+    return pool_
+        .CallWithReconnect<GetRequest, GetResponse>(nodes_[node],
+                                                    rpc::Method::kDhtGet, r)
         .Then([](Result<GetResponse> rsp) -> Result<std::string> {
           if (!rsp.ok()) return rsp.status();
           return std::move(rsp->value);
@@ -203,24 +94,12 @@ Future<std::string> DhtClient::GetAsync(Slice key) {
   return f;
 }
 
-Status DhtClient::Delete(Slice key) {
-  DeleteRequest req{key.ToString()};
-  Status first_error;
-  for (size_t node : placement_->ReplicaNodes(key, options_.replication)) {
-    DeleteResponse rsp;
-    Status s =
-        CallNode(&pool_, nodes_[node], rpc::Method::kDhtDelete, req, &rsp);
-    if (!s.ok() && first_error.ok()) first_error = s;
-  }
-  return first_error;
-}
-
 Future<Unit> DhtClient::DeleteAsync(Slice key) {
   DeleteRequest req{key.ToString()};
   std::vector<Future<DeleteResponse>> calls;
   for (size_t node : placement_->ReplicaNodes(key, options_.replication)) {
-    calls.push_back(CallNodeAsync<DeleteRequest, DeleteResponse>(
-        &pool_, nodes_[node], rpc::Method::kDhtDelete, req));
+    calls.push_back(pool_.CallWithReconnect<DeleteRequest, DeleteResponse>(
+        nodes_[node], rpc::Method::kDhtDelete, req));
   }
   if (calls.empty()) return MakeReadyFuture(Status::OK());
   return WhenAll(std::move(calls))
@@ -233,18 +112,27 @@ Future<Unit> DhtClient::DeleteAsync(Slice key) {
       });
 }
 
-Status DhtClient::TotalStats(uint64_t* keys, uint64_t* bytes) {
-  *keys = 0;
-  *bytes = 0;
+Future<StatsResponse> DhtClient::TotalStatsAsync() {
+  std::vector<Future<StatsResponse>> calls;
   for (const auto& addr : nodes_) {
-    StatsRequest req;
-    StatsResponse rsp;
-    BS_RETURN_NOT_OK(
-        CallNode(&pool_, addr, rpc::Method::kDhtStats, req, &rsp));
-    *keys += rsp.keys;
-    *bytes += rsp.bytes;
+    calls.push_back(pool_.CallWithReconnect<StatsRequest, StatsResponse>(
+        addr, rpc::Method::kDhtStats, StatsRequest{}));
   }
-  return Status::OK();
+  return WhenAll(std::move(calls))
+      .Then([](Result<std::vector<Result<StatsResponse>>> all)
+                -> Result<StatsResponse> {
+        if (!all.ok()) return all.status();
+        StatsResponse total;
+        for (const auto& r : *all) {
+          if (!r.ok()) return r.status();
+          total.keys += r->keys;
+          total.bytes += r->bytes;
+          total.puts += r->puts;
+          total.gets += r->gets;
+          total.hits += r->hits;
+        }
+        return total;
+      });
 }
 
 }  // namespace blobseer::dht

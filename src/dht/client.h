@@ -31,38 +31,30 @@ class DhtClient {
   DhtClient(rpc::Transport* transport, std::vector<std::string> nodes,
             DhtClientOptions options = {});
 
-  Status Put(Slice key, Slice value);
-  Status Get(Slice key, std::string* value);
-  Status Delete(Slice key);
-
-  /// Single-key compare-and-swap, linearized on the key's *first* placement
-  /// replica (every client derives the same one from the shared node list);
-  /// on success the new value is propagated to the remaining replicas with
-  /// plain puts. OK with `*applied == false` means the expectation did not
-  /// hold — `*current` then carries the conflicting stored bytes (empty and
-  /// `*applied == false` with a missing key unless `expect_absent`). Pass
-  /// `expect_absent` to create-if-absent (the `expected` bytes are ignored).
-  Status Cas(Slice key, Slice expected, Slice value, bool expect_absent,
-             bool* applied, std::string* current);
-
-  /// Async variants with the same replica semantics: PutAsync resolves OK
-  /// once at least one replica accepted (replicas written in parallel);
-  /// GetAsync falls back across replicas in placement order; DeleteAsync
-  /// and CasAsync mirror their sync forms.
+  /// PutAsync resolves OK once at least one replica accepted (replicas are
+  /// written in parallel); GetAsync falls back across replicas in placement
+  /// order; DeleteAsync fails with the first replica error.
   Future<Unit> PutAsync(Slice key, Slice value);
   Future<std::string> GetAsync(Slice key);
   Future<Unit> DeleteAsync(Slice key);
+
+  /// Single-key compare-and-swap, linearized on the key's *first* placement
+  /// replica (every client derives the same one from the shared node list);
+  /// an applied value is then propagated to the remaining replicas with
+  /// plain puts before the future resolves. `applied == false` means the
+  /// expectation did not hold — `current` then carries the conflicting
+  /// stored bytes (empty for a missing key unless `expect_absent`). Pass
+  /// `expect_absent` to create-if-absent (the `expected` bytes are ignored).
   Future<CasResponse> CasAsync(Slice key, Slice expected, Slice value,
                                bool expect_absent);
 
   /// Aggregate stats across all nodes.
-  Status TotalStats(uint64_t* keys, uint64_t* bytes);
+  Future<StatsResponse> TotalStatsAsync();
 
   size_t num_nodes() const { return nodes_.size(); }
   const DhtClientOptions& options() const { return options_; }
 
  private:
-  rpc::Transport* transport_;
   std::vector<std::string> nodes_;
   DhtClientOptions options_;
   std::unique_ptr<Placement> placement_;

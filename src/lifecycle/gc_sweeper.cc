@@ -6,29 +6,10 @@
 #include "common/tree_layout.h"
 #include "lifecycle/dedup.h"
 #include "lifecycle/retention.h"
-#include "provider/messages.h"
-#include "rpc/call.h"
 
 namespace blobseer::lifecycle {
 
 namespace {
-
-// Same reconnect-once-on-Unavailable idiom as the rebuilder: deletes are
-// idempotent, and on binding transports a pooled channel can go stale when
-// a provider restarts under the same address.
-template <typename Req, typename Rsp>
-Status CallProvider(rpc::ChannelPool* pool, const std::string& address,
-                    rpc::Method method, const Req& req, Rsp* rsp) {
-  auto ch = pool->Get(address);
-  if (!ch.ok()) return ch.status();
-  Status s = rpc::CallMethod(ch->get(), method, req, rsp);
-  if (!s.IsUnavailable() || !pool->binding()) return s;
-  pool->Invalidate(address);
-  ch = pool->Get(address);
-  if (!ch.ok()) return s;
-  *rsp = Rsp{};
-  return rpc::CallMethod(ch->get(), method, req, rsp);
-}
 
 // RAII over the pass-active flag so every RunOnePass exit path (including
 // the strict-mark aborts) leaves Drained() true.
@@ -60,17 +41,17 @@ GcSweeper::GcSweeper(locator::PageLocationTable* table, ProvidersFn providers,
       vm_(transport, std::move(vm_address), /*channels=*/1),
       dht_(transport, std::move(dht_nodes), dht_options),
       index_(&dht_, /*cache_capacity=*/0),
-      meta_(&dht_, /*executor=*/nullptr,
-            meta::MetaClientOptions{/*cache_enabled=*/false,
-                                    /*cache_capacity=*/0, /*fanout=*/1}),
-      providers_pool_(transport, /*channels_per_endpoint=*/1) {}
+      meta_(&dht_, meta::MetaClientOptions{/*cache_enabled=*/false,
+                                           /*cache_capacity=*/0}),
+      providers_client_(transport, /*channels_per_endpoint=*/1) {}
 
 GcSweeper::~GcSweeper() { Stop(); }
 
 Status GcSweeper::WalkVersion(const BranchAncestry& ancestry, Version version,
                               uint64_t size, uint64_t psize, bool tolerant,
                               std::set<std::string>* nodes,
-                              std::unordered_set<PageId>* pids) {
+                              std::unordered_set<PageId>* pids,
+                              Executor* executor) {
   if (version == 0 || version == kNoVersion || size == 0) return Status::OK();
   struct Frame {
     Extent block;
@@ -86,7 +67,7 @@ Status GcSweeper::WalkVersion(const BranchAncestry& ancestry, Version version,
     // The accumulator set doubles as the visited set: a node already
     // recorded had its whole subtree (and leaf chain) recorded too.
     if (!nodes->insert(key.ToDhtKey()).second) continue;
-    Result<meta::MetaNode> node = meta_.GetNode(key);
+    Result<meta::MetaNode> node = meta_.GetNodeAsync(key).Wait(executor);
     if (!node.ok()) {
       if (tolerant && node.status().IsNotFound()) continue;
       return node.status();
@@ -111,8 +92,10 @@ Status GcSweeper::WalkVersion(const BranchAncestry& ancestry, Version version,
 
 Status GcSweeper::SweepPage(
     const PageId& pid,
-    const std::unordered_map<ProviderId, locator::ProviderView>& views) {
-  Result<locator::LocationEntry> entry = index_.Resolve(pid);
+    const std::unordered_map<ProviderId, locator::ProviderView>& views,
+    Executor* executor) {
+  Result<locator::LocationEntry> entry =
+      index_.ResolveAsync(pid).Wait(executor);
   if (!entry.ok()) return entry.status();  // NotFound = already swept
   locator::LocationEntry condemned = *entry;
   if (!condemned.condemned()) {
@@ -122,7 +105,8 @@ Status GcSweeper::SweepPage(
     // whose mark walk will see the adopter's version.
     condemned.refs = 0;
     Result<locator::LocationEntry> cas =
-        index_.CompareAndSwapEntry(pid, *entry, condemned);
+        index_.CompareAndSwapEntryAsync(pid, *entry, condemned)
+            .Wait(executor);
     if (!cas.ok()) return cas.status();
     condemned = *cas;
   }
@@ -132,20 +116,18 @@ Status GcSweeper::SweepPage(
   for (ProviderId m : condemned.providers) {
     auto it = views.find(m);
     if (it == views.end() || !it->second.up) continue;
-    provider::DeleteRequest del{pid};
-    provider::DeleteResponse drsp;
-    (void)CallProvider(&providers_pool_, it->second.address,
-                       rpc::Method::kProviderDelete, del, &drsp);
+    (void)providers_client_.DeletePageAsync(it->second.address, pid)
+        .Wait(executor);
   }
   // Drop the 'H' mapping if it still points at this page (a losing
   // adopter may already have repaired it to a fresh PageId — leave that).
   if (condemned.hash_hi != 0 || condemned.hash_lo != 0) {
     std::string hkey = HashKey(condemned.hash_hi, condemned.hash_lo);
-    std::string cur;
-    if (dht_.Get(Slice(hkey), &cur).ok()) {
-      Result<PageId> target = DecodeHashTarget(cur);
+    Result<std::string> cur = dht_.GetAsync(Slice(hkey)).Wait(executor);
+    if (cur.ok()) {
+      Result<PageId> target = DecodeHashTarget(*cur);
       if (target.ok() && *target == pid) {
-        if (dht_.Delete(Slice(hkey)).ok()) {
+        if (dht_.DeleteAsync(Slice(hkey)).Wait(executor).ok()) {
           std::lock_guard<std::mutex> lock(mu_);
           stats_.hash_links_removed++;
         }
@@ -155,19 +137,19 @@ Status GcSweeper::SweepPage(
   // The entry goes last: a crash before this point leaves a condemned
   // entry the next pass finds and finishes (every step above is
   // idempotent).
-  (void)index_.DeleteEntry(pid);
+  (void)index_.DeleteEntryAsync(pid).Wait(executor);
   table_->Forget(pid);
   return Status::OK();
 }
 
-Status GcSweeper::RunOnePass(uint64_t now_us) {
+Status GcSweeper::RunOnePass(uint64_t now_us, Executor* executor) {
   PassGuard active(&pass_active_);
   {
     std::lock_guard<std::mutex> lock(mu_);
     stats_.passes++;
   }
 
-  Result<std::vector<BlobId>> blob_ids = vm_.ListBlobs();
+  Result<std::vector<BlobId>> blob_ids = vm_.ListBlobsAsync().Wait(executor);
   if (!blob_ids.ok()) {
     std::lock_guard<std::mutex> lock(mu_);
     stats_.errors++;
@@ -184,21 +166,23 @@ Status GcSweeper::RunOnePass(uint64_t now_us) {
   std::vector<BlobScan> scans;
   bool have_candidates = false;
   for (BlobId id : *blob_ids) {
-    Result<BlobDescriptor> desc = vm_.OpenBlob(id, nullptr, nullptr);
-    if (!desc.ok()) {
-      if (desc.status().IsNotFound()) continue;
+    Result<vmanager::OpenInfo> open = vm_.OpenBlobAsync(id).Wait(executor);
+    if (!open.ok()) {
+      if (open.status().IsNotFound()) continue;
       std::lock_guard<std::mutex> lock(mu_);
       stats_.errors++;
-      return desc.status();
+      return open.status();
     }
-    Result<std::vector<vmanager::VersionInfo>> versions = vm_.ListVersions(id);
+    Result<std::vector<vmanager::VersionInfo>> versions =
+        vm_.ListVersionsAsync(id).Wait(executor);
     if (!versions.ok()) {
       std::lock_guard<std::mutex> lock(mu_);
       stats_.errors++;
       return versions.status();
     }
     if (options_.apply_retention) {
-      Result<RetentionPolicy> policy = vm_.GetRetention(id);
+      Result<RetentionPolicy> policy =
+          vm_.GetRetentionAsync(id).Wait(executor);
       if (policy.ok() && policy->enabled()) {
         std::vector<VersionFacts> facts;
         facts.reserve(versions->size());
@@ -207,7 +191,7 @@ Status GcSweeper::RunOnePass(uint64_t now_us) {
                            vi.discarded, vi.pinned});
         }
         for (Version v : ExpiredVersions(*policy, facts, now_us)) {
-          Status s = vm_.DiscardVersion(id, v);
+          Status s = vm_.DiscardVersionAsync(id, v).Wait(executor).status();
           if (s.ok()) {
             for (vmanager::VersionInfo& vi : *versions) {
               if (vi.version == v) vi.discarded = true;
@@ -219,7 +203,7 @@ Status GcSweeper::RunOnePass(uint64_t now_us) {
         }
       }
     }
-    BlobScan scan{std::move(desc).ValueUnsafe(),
+    BlobScan scan{std::move(open->descriptor),
                   std::move(versions).ValueUnsafe()};
     {
       std::lock_guard<std::mutex> lock(mu_);
@@ -249,7 +233,7 @@ Status GcSweeper::RunOnePass(uint64_t now_us) {
       }
       Status s = WalkVersion(ancestry, vi.version, vi.size, scan.desc.psize,
                              /*tolerant=*/true, &candidate_nodes,
-                             &candidate_pids);
+                             &candidate_pids, executor);
       if (!s.ok()) {
         std::lock_guard<std::mutex> lock(mu_);
         stats_.errors++;
@@ -270,7 +254,8 @@ Status GcSweeper::RunOnePass(uint64_t now_us) {
     for (const vmanager::VersionInfo& vi : scan.versions) {
       if (!vi.published || vi.discarded) continue;
       Status s = WalkVersion(ancestry, vi.version, vi.size, scan.desc.psize,
-                             /*tolerant=*/false, &live_nodes, &live_pids);
+                             /*tolerant=*/false, &live_nodes, &live_pids,
+                             executor);
       if (!s.ok()) {
         std::lock_guard<std::mutex> lock(mu_);
         stats_.errors++;
@@ -292,7 +277,7 @@ Status GcSweeper::RunOnePass(uint64_t now_us) {
       truncated = true;
       break;
     }
-    Status s = SweepPage(pid, views);
+    Status s = SweepPage(pid, views, executor);
     std::lock_guard<std::mutex> lock(mu_);
     if (s.ok()) {
       stats_.pages_swept++;
@@ -308,7 +293,7 @@ Status GcSweeper::RunOnePass(uint64_t now_us) {
   // deleting a version's root strands whatever pages were left unswept.
   if (truncated) return Status::OK();
   for (const std::string& key : candidate_nodes) {
-    Status s = dht_.Delete(Slice(key));
+    Status s = dht_.DeleteAsync(Slice(key)).Wait(executor).status();
     std::lock_guard<std::mutex> lock(mu_);
     if (s.ok() || s.IsNotFound()) {
       stats_.nodes_retired++;
@@ -331,12 +316,12 @@ void GcSweeper::Start(Executor* executor, Clock* clock) {
   auto loop = std::make_shared<Loop>();
   loop->done = executor->MakeWaitEvent();
   loop_ = loop;
-  executor->Schedule([this, loop, clock] {
+  executor->Schedule([this, loop, clock, executor] {
     while (!loop->stop.load(std::memory_order_acquire)) {
       clock->SleepForMicros(options_.interval_us);
       if (loop->stop.load(std::memory_order_acquire)) break;
       // Pass errors are counted in stats; the loop itself never aborts.
-      (void)RunOnePass(clock->NowMicros());
+      (void)RunOnePass(clock->NowMicros(), executor);
     }
     loop->done->Signal();
   });

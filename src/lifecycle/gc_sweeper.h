@@ -49,7 +49,7 @@
 #include "locator/rebuilder.h"
 #include "locator/table.h"
 #include "meta/meta_client.h"
-#include "rpc/channel_pool.h"
+#include "provider/client.h"
 #include "vmanager/client.h"
 
 namespace blobseer::lifecycle {
@@ -94,7 +94,9 @@ class GcSweeper {
   /// against it). Safe to call directly from tests and benches (no loop
   /// required). Returns the first hard error, or OK — per-page failures are
   /// counted in stats and retried next pass, they do not fail the pass.
-  Status RunOnePass(uint64_t now_us);
+  /// The pass waits on its RPCs through `executor`, the executor the caller
+  /// runs on (nullptr on a plain OS thread).
+  Status RunOnePass(uint64_t now_us, Executor* executor = nullptr);
 
   /// Starts / stops the periodic pass loop on `executor`, paced by `clock`
   /// (real or simulated). No-op when options.interval_us is 0. Stop joins
@@ -118,14 +120,15 @@ class GcSweeper {
   Status WalkVersion(const BranchAncestry& ancestry, Version version,
                      uint64_t size, uint64_t psize, bool tolerant,
                      std::set<std::string>* nodes,
-                     std::unordered_set<PageId>* pids);
+                     std::unordered_set<PageId>* pids, Executor* executor);
 
   /// Condemns and physically deletes one page. OK = swept; Aborted = a
   /// concurrent refs CAS won (deferred to next pass); NotFound = already
   /// gone.
   Status SweepPage(
       const PageId& pid,
-      const std::unordered_map<ProviderId, locator::ProviderView>& views);
+      const std::unordered_map<ProviderId, locator::ProviderView>& views,
+      Executor* executor);
 
   locator::PageLocationTable* table_;
   ProvidersFn providers_;
@@ -134,10 +137,9 @@ class GcSweeper {
   dht::DhtClient dht_;
   // No location cache: condemn CAS must start from the authoritative entry.
   locator::LocationIndex index_;
-  // Cache off and no executor: the sweeper only uses the synchronous
-  // GetNode path, and cached nodes of retired versions would be garbage.
+  // Cache off: cached nodes of retired versions would be garbage.
   meta::MetaClient meta_;
-  rpc::ChannelPool providers_pool_;
+  provider::ProviderClient providers_client_;
 
   std::atomic<bool> pass_active_{false};
 

@@ -105,16 +105,6 @@ void LocationIndex::CacheInsert(const PageId& pid,
   }
 }
 
-Result<LocationEntry> LocationIndex::Resolve(const PageId& pid) {
-  LocationEntry entry;
-  if (CacheLookup(pid, &entry)) return entry;
-  std::string bytes;
-  BS_RETURN_NOT_OK(dht_->Get(Slice(LocationKey(pid)), &bytes));
-  Result<LocationEntry> decoded = DecodeEntry(bytes);
-  if (decoded.ok()) CacheInsert(pid, *decoded);
-  return decoded;
-}
-
 Future<LocationEntry> LocationIndex::ResolveAsync(const PageId& pid) {
   LocationEntry entry;
   if (CacheLookup(pid, &entry))
@@ -128,15 +118,6 @@ Future<LocationEntry> LocationIndex::ResolveAsync(const PageId& pid) {
       });
 }
 
-Status LocationIndex::Publish(const PageId& pid,
-                              std::vector<ProviderId> providers,
-                              uint64_t hash_hi, uint64_t hash_lo) {
-  LocationEntry entry{1, std::move(providers), 1, hash_hi, hash_lo};
-  BS_RETURN_NOT_OK(dht_->Put(Slice(LocationKey(pid)), Slice(EncodeEntry(entry))));
-  CacheInsert(pid, entry);
-  return Status::OK();
-}
-
 Future<Unit> LocationIndex::PublishAsync(const PageId& pid,
                                          std::vector<ProviderId> providers,
                                          uint64_t hash_hi, uint64_t hash_lo) {
@@ -147,84 +128,6 @@ Future<Unit> LocationIndex::PublishAsync(const PageId& pid,
         if (r.ok()) CacheInsert(pid, *entry);
         return r;
       });
-}
-
-Result<LocationEntry> LocationIndex::Seed(
-    const PageId& pid, const std::vector<ProviderId>& providers) {
-  LocationEntry entry{1, providers};
-  bool applied = false;
-  std::string current;
-  BS_RETURN_NOT_OK(dht_->Cas(Slice(LocationKey(pid)), Slice(),
-                             Slice(EncodeEntry(entry)),
-                             /*expect_absent=*/true, &applied, &current));
-  if (!applied) {
-    // Someone else seeded or relocated first; their entry is authoritative.
-    Result<LocationEntry> stored = DecodeEntry(current);
-    if (!stored.ok()) return stored;
-    CacheInsert(pid, *stored);
-    return stored;
-  }
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    stats_.seeds++;
-  }
-  CacheInsert(pid, entry);
-  return entry;
-}
-
-Future<LocationEntry> LocationIndex::SeedAsync(
-    const PageId& pid, std::vector<ProviderId> providers) {
-  auto entry = std::make_shared<LocationEntry>(
-      LocationEntry{1, std::move(providers)});
-  return dht_
-      ->CasAsync(Slice(LocationKey(pid)), Slice(), Slice(EncodeEntry(*entry)),
-                 /*expect_absent=*/true)
-      .Then([this, pid,
-             entry](Result<dht::CasResponse> r) -> Result<LocationEntry> {
-        if (!r.ok()) return r.status();
-        if (!r->applied) {
-          Result<LocationEntry> stored = DecodeEntry(r->current);
-          if (!stored.ok()) return stored;
-          CacheInsert(pid, *stored);
-          return stored;
-        }
-        {
-          std::lock_guard<std::mutex> lock(mu_);
-          stats_.seeds++;
-        }
-        CacheInsert(pid, *entry);
-        return std::move(*entry);
-      });
-}
-
-Result<LocationEntry> LocationIndex::CompareAndSwap(
-    const PageId& pid, const LocationEntry& expected,
-    std::vector<ProviderId> next) {
-  // Replica moves carry the refcount and content hash through unchanged.
-  LocationEntry installed = expected;
-  installed.providers = std::move(next);
-  return CompareAndSwapEntry(pid, expected, std::move(installed));
-}
-
-Result<LocationEntry> LocationIndex::CompareAndSwapEntry(
-    const PageId& pid, const LocationEntry& expected, LocationEntry next) {
-  next.epoch = expected.epoch + 1;
-  bool applied = false;
-  std::string current;
-  BS_RETURN_NOT_OK(dht_->Cas(Slice(LocationKey(pid)),
-                             Slice(EncodeEntry(expected)),
-                             Slice(EncodeEntry(next)),
-                             /*expect_absent=*/false, &applied, &current));
-  if (applied) {
-    CacheInsert(pid, next);
-    return next;
-  }
-  Invalidate(pid);
-  if (current.empty()) return Status::NotFound("location entry deleted");
-  Result<LocationEntry> stored = DecodeEntry(current);
-  if (stored.ok()) CacheInsert(pid, *stored);
-  return Status::Aborted("location entry changed: " +
-                         (stored.ok() ? stored->ToString() : current));
 }
 
 Future<LocationEntry> LocationIndex::CompareAndSwapEntryAsync(
@@ -251,35 +154,6 @@ Future<LocationEntry> LocationIndex::CompareAndSwapEntryAsync(
                                (stored.ok() ? stored->ToString()
                                             : r->current));
       });
-}
-
-Result<LocationEntry> LocationIndex::AdjustRefs(const PageId& pid,
-                                                int32_t delta,
-                                                int max_retries) {
-  for (int attempt = 0;; attempt++) {
-    // Always a fresh DHT read: the CAS below must expect the authoritative
-    // bytes, and a cached entry may be epochs behind.
-    std::string bytes;
-    Status got = dht_->Get(Slice(LocationKey(pid)), &bytes);
-    if (!got.ok()) {
-      Invalidate(pid);
-      return got;
-    }
-    Result<LocationEntry> cur = DecodeEntry(bytes);
-    if (!cur.ok()) return cur.status();
-    if (cur->condemned())
-      return Status::FailedPrecondition("location entry condemned");
-    LocationEntry next = *cur;
-    next.refs = delta < 0 && uint32_t(-delta) >= next.refs
-                    ? 0
-                    : next.refs + uint32_t(delta);
-    Result<LocationEntry> swapped =
-        CompareAndSwapEntry(pid, *cur, std::move(next));
-    if (swapped.ok() || !swapped.status().IsAborted() ||
-        attempt >= max_retries) {
-      return swapped;
-    }
-  }
 }
 
 Future<LocationEntry> LocationIndex::AdjustRefsAsync(const PageId& pid,
@@ -312,12 +186,6 @@ Future<LocationEntry> LocationIndex::AdjustRefsAsync(const PageId& pid,
               return AdjustRefsAsync(pid, delta, max_retries - 1);
             });
       });
-}
-
-Status LocationIndex::DeleteEntry(const PageId& pid) {
-  Status s = dht_->Delete(Slice(LocationKey(pid)));
-  Invalidate(pid);
-  return s;
 }
 
 Future<Unit> LocationIndex::DeleteEntryAsync(const PageId& pid) {

@@ -55,74 +55,51 @@ struct LocationIndexStats {
   uint64_t hits = 0;
   uint64_t misses = 0;
   uint64_t invalidations = 0;
-  uint64_t seeds = 0;
 };
 
 /// Client view of the location index: resolve with a small LRU cache in
-/// front of the DHT, publish entries for freshly written pages, seed entries
-/// for pages whose replica set is still embedded in pre-v3 metadata, and
-/// CAS entries when moving replicas. Thread-safe.
+/// front of the DHT, publish entries for freshly written pages, and CAS
+/// entries when moving replicas. Every operation is asynchronous.
+/// Thread-safe.
 class LocationIndex {
  public:
   /// `dht` must outlive the index. `cache_capacity` of 0 disables caching.
   LocationIndex(dht::DhtClient* dht, size_t cache_capacity);
 
   /// Current replica set for `pid`, from cache or the DHT. NotFound when no
-  /// entry exists (pre-v3 page not yet seeded, or deleted page).
-  Result<LocationEntry> Resolve(const PageId& pid);
+  /// entry exists (deleted page).
   Future<LocationEntry> ResolveAsync(const PageId& pid);
 
   /// Installs the entry for a freshly written page at epoch 1 with refs=1.
   /// A plain put: PageIds are minted client-locally and never reused, so no
   /// other writer can race this key. `hash_hi`/`hash_lo` record the content
   /// hash the page is addressed by when dedup is on (0/0 = none).
-  Status Publish(const PageId& pid, std::vector<ProviderId> providers,
-                 uint64_t hash_hi = 0, uint64_t hash_lo = 0);
   Future<Unit> PublishAsync(const PageId& pid,
                             std::vector<ProviderId> providers,
                             uint64_t hash_hi = 0, uint64_t hash_lo = 0);
 
-  /// Creates the entry for a pre-v3 page from the replica set embedded in
-  /// its metadata leaf (create-if-absent CAS). If another reader or the
-  /// rebuilder got there first, the already-stored entry wins and is
-  /// returned — callers always end up with the authoritative one.
-  Result<LocationEntry> Seed(const PageId& pid,
-                             const std::vector<ProviderId>& providers);
-  Future<LocationEntry> SeedAsync(const PageId& pid,
-                                  std::vector<ProviderId> providers);
-
-  /// Atomically replaces `expected` with `{expected.epoch + 1, next}`.
-  /// Returns the installed entry on success; Aborted when the stored entry
-  /// no longer matches (a concurrent relocation won — re-resolve and
-  /// retry); NotFound when the entry was deleted underneath.
-  Result<LocationEntry> CompareAndSwap(const PageId& pid,
-                                       const LocationEntry& expected,
-                                       std::vector<ProviderId> next);
-
   /// Full-entry CAS: installs `next` (with epoch forced to
   /// `expected.epoch + 1`) iff the stored bytes still equal `expected`.
-  /// Same failure contract as CompareAndSwap. The GC sweeper condemns
-  /// entries through this (refs -> 0) so any concurrent adoption — which
-  /// must itself CAS a refs bump — fails one side of the race cleanly.
-  Result<LocationEntry> CompareAndSwapEntry(const PageId& pid,
-                                            const LocationEntry& expected,
-                                            LocationEntry next);
+  /// Resolves to the installed entry; Aborted when the stored entry no
+  /// longer matches (a concurrent relocation or refs change won —
+  /// re-resolve and retry); NotFound when the entry was deleted underneath.
+  /// Replica moves carry refs and content hash through unchanged; the GC
+  /// sweeper condemns entries through this (refs -> 0) so any concurrent
+  /// adoption — which must itself CAS a refs bump — fails one side of the
+  /// race cleanly.
   Future<LocationEntry> CompareAndSwapEntryAsync(const PageId& pid,
                                                  const LocationEntry& expected,
                                                  LocationEntry next);
 
   /// Atomically adds `delta` to the entry's dedup refcount (fresh DHT read,
   /// never the cache), retrying lost CAS races up to `max_retries` times.
-  /// Returns the installed entry. FailedPrecondition when the entry is
+  /// Resolves to the installed entry. FailedPrecondition when the entry is
   /// condemned (refs == 0): the caller must not adopt this page.
-  Result<LocationEntry> AdjustRefs(const PageId& pid, int32_t delta,
-                                   int max_retries = 4);
   Future<LocationEntry> AdjustRefsAsync(const PageId& pid, int32_t delta,
                                         int max_retries = 4);
 
   /// Deletes the entry outright (physical cleanup after a condemn; also the
   /// failed-write cleanup path). Plain delete, caller serializes.
-  Status DeleteEntry(const PageId& pid);
   Future<Unit> DeleteEntryAsync(const PageId& pid);
 
   /// Drops one / every cached entry. Readers invalidate a page on replica

@@ -4,31 +4,7 @@
 #include <limits>
 #include <utility>
 
-#include "provider/messages.h"
-#include "rpc/call.h"
-
 namespace blobseer::locator {
-
-namespace {
-
-// Same reconnect-once-on-Unavailable idiom as the DHT client: page ops are
-// idempotent, and on binding transports a pooled channel can go stale when
-// a provider restarts under the same address.
-template <typename Req, typename Rsp>
-Status CallProvider(rpc::ChannelPool* pool, const std::string& address,
-                    rpc::Method method, const Req& req, Rsp* rsp) {
-  auto ch = pool->Get(address);
-  if (!ch.ok()) return ch.status();
-  Status s = rpc::CallMethod(ch->get(), method, req, rsp);
-  if (!s.IsUnavailable() || !pool->binding()) return s;
-  pool->Invalidate(address);
-  ch = pool->Get(address);
-  if (!ch.ok()) return s;
-  *rsp = Rsp{};
-  return rpc::CallMethod(ch->get(), method, req, rsp);
-}
-
-}  // namespace
 
 struct Rebuilder::Loop {
   std::atomic<bool> stop{false};
@@ -46,13 +22,14 @@ Rebuilder::Rebuilder(PageLocationTable* table, ProvidersFn providers,
       // No location cache: every CAS must start from the authoritative
       // entry, and the table already memoizes what this process learned.
       index_(&dht_, /*cache_capacity=*/0),
-      providers_pool_(transport, /*channels_per_endpoint=*/1) {}
+      providers_client_(transport, /*channels_per_endpoint=*/1) {}
 
 Rebuilder::~Rebuilder() { Stop(); }
 
 Status Rebuilder::MovePage(
     const PageId& pid, LocationEntry* entry, ProviderId from, ProviderId to,
-    const std::unordered_map<ProviderId, ProviderView>& views) {
+    const std::unordered_map<ProviderId, ProviderView>& views,
+    Executor* executor) {
   // Copy sources: surviving members first, the vacated provider itself as
   // a last resort (it is still up for drain and rebalance moves).
   std::vector<const ProviderView*> sources;
@@ -65,46 +42,47 @@ Status Rebuilder::MovePage(
   const bool from_up = from_it != views.end() && from_it->second.up;
   if (from_up) sources.push_back(&from_it->second);
 
-  provider::ReadRequest read{pid, 0, 0};
-  provider::ReadResponse page;
-  Status rs = Status::Unavailable("no live replica to copy from");
+  Result<std::string> page =
+      Status::Unavailable("no live replica to copy from");
   for (const ProviderView* src : sources) {
-    page = provider::ReadResponse{};
-    rs = CallProvider(&providers_pool_, src->address,
-                      rpc::Method::kProviderRead, read, &page);
-    if (rs.ok()) break;
+    // len == 0 reads through the end: the whole stored object.
+    page = providers_client_.ReadPageAsync(src->address, pid, 0, 0)
+               .Wait(executor);
+    if (page.ok()) break;
   }
-  if (!rs.ok()) {
+  if (!page.ok()) {
     // A NotFound here means the page object is missing on a live source,
     // not that the location entry vanished — keep the distinction for the
     // caller, which treats NotFound as "entry deleted".
+    const Status& rs = page.status();
     return rs.IsNotFound() ? Status::Unavailable(rs.message()) : rs;
   }
 
   auto to_it = views.find(to);
   if (to_it == views.end())
     return Status::Internal("rebuild target not in provider view");
-  provider::WriteRequest write{pid, std::move(page.data)};
-  provider::WriteResponse wrsp;
-  BS_RETURN_NOT_OK(CallProvider(&providers_pool_, to_it->second.address,
-                                rpc::Method::kProviderWrite, write, &wrsp));
+  BS_RETURN_NOT_OK(providers_client_
+                       .WritePageAsync(to_it->second.address, pid,
+                                       Slice(*page))
+                       .Wait(executor)
+                       .status());
 
   // Commit: the location entry flips to the new set in one CAS, so readers
   // either see the old set (and fail over off the bad member) or the new
-  // one (where the copy already exists).
-  std::vector<ProviderId> next = entry->providers;
-  std::replace(next.begin(), next.end(), from, to);
+  // one (where the copy already exists). The move carries the refcount
+  // and content hash through unchanged.
+  LocationEntry next = *entry;
+  std::replace(next.providers.begin(), next.providers.end(), from, to);
   Result<LocationEntry> installed =
-      index_.CompareAndSwap(pid, *entry, std::move(next));
+      index_.CompareAndSwapEntryAsync(pid, *entry, std::move(next))
+          .Wait(executor);
   if (!installed.ok()) {
     if (installed.status().IsNotFound()) {
       // The GC sweeper deleted the entry between our read and the CAS: the
       // copy we just wrote is unreachable garbage — remove it so it cannot
       // leak on the target provider.
-      provider::DeleteRequest del{pid};
-      provider::DeleteResponse drsp;
-      (void)CallProvider(&providers_pool_, to_it->second.address,
-                         rpc::Method::kProviderDelete, del, &drsp);
+      (void)providers_client_.DeletePageAsync(to_it->second.address, pid)
+          .Wait(executor);
     }
     return installed.status();
   }
@@ -112,15 +90,13 @@ Status Rebuilder::MovePage(
   table_->Record(pid, *entry);
 
   if (from_up) {
-    provider::DeleteRequest del{pid};
-    provider::DeleteResponse drsp;
-    (void)CallProvider(&providers_pool_, from_it->second.address,
-                       rpc::Method::kProviderDelete, del, &drsp);
+    (void)providers_client_.DeletePageAsync(from_it->second.address, pid)
+        .Wait(executor);
   }
   return Status::OK();
 }
 
-size_t Rebuilder::RunOnePass() {
+size_t Rebuilder::RunOnePass(Executor* executor) {
   {
     std::lock_guard<std::mutex> lock(stats_mu_);
     stats_.passes++;
@@ -174,7 +150,7 @@ size_t Rebuilder::RunOnePass() {
           stats_.failed_moves++;
           continue;
         }
-        Status s = MovePage(pid, &entry, m, target, views);
+        Status s = MovePage(pid, &entry, m, target, views, executor);
         if (s.ok()) {
           load[target]++;
           moves++;
@@ -190,7 +166,8 @@ size_t Rebuilder::RunOnePass() {
             std::lock_guard<std::mutex> lock(stats_mu_);
             stats_.cas_conflicts++;
           }
-          Result<LocationEntry> fresh = index_.Resolve(pid);
+          Result<LocationEntry> fresh =
+              index_.ResolveAsync(pid).Wait(executor);
           if (fresh.ok()) {
             if (fresh->condemned()) {
               // The conflicting CAS was the GC sweeper condemning the page;
@@ -233,7 +210,7 @@ size_t Rebuilder::RunOnePass() {
       const auto& p = entry.providers;
       if (std::find(p.begin(), p.end(), hi) == p.end()) continue;
       if (std::find(p.begin(), p.end(), lo) != p.end()) continue;
-      Status s = MovePage(pid, &entry, hi, lo, views);
+      Status s = MovePage(pid, &entry, hi, lo, views, executor);
       if (s.ok()) {
         load[hi]--;
         load[lo]++;
@@ -261,13 +238,13 @@ void Rebuilder::Start(Executor* executor, Clock* clock) {
   auto loop = std::make_shared<Loop>();
   loop->done = executor->MakeWaitEvent();
   loop_ = loop;
-  executor->Schedule([this, loop, clock] {
+  executor->Schedule([this, loop, clock, executor] {
     while (!loop->stop.load(std::memory_order_acquire)) {
       clock->SleepForMicros(options_.interval_us);
       if (loop->stop.load(std::memory_order_acquire)) break;
       // Errors inside a pass are per-move and already counted; the loop
       // itself never aborts.
-      (void)RunOnePass();
+      (void)RunOnePass(executor);
     }
     loop->done->Signal();
   });

@@ -20,7 +20,7 @@
 #include "dht/client.h"
 #include "locator/location.h"
 #include "locator/table.h"
-#include "rpc/channel_pool.h"
+#include "provider/client.h"
 
 namespace blobseer::locator {
 
@@ -71,7 +71,9 @@ class Rebuilder {
   /// One scan of the location table: heal entries with dead members, drain
   /// entries on draining providers, then rebalance. Returns the number of
   /// pages moved. Safe to call directly from tests (no loop required).
-  size_t RunOnePass();
+  /// The pass waits on its RPCs through `executor`, the executor the caller
+  /// runs on (nullptr on a plain OS thread).
+  size_t RunOnePass(Executor* executor = nullptr);
 
   /// Starts / stops the periodic pass loop on `executor`, paced by `clock`
   /// (real or simulated). No-op when options.interval_us is 0.
@@ -89,14 +91,15 @@ class Rebuilder {
   /// success `*entry` becomes the installed entry.
   Status MovePage(const PageId& pid, LocationEntry* entry, ProviderId from,
                   ProviderId to,
-                  const std::unordered_map<ProviderId, ProviderView>& views);
+                  const std::unordered_map<ProviderId, ProviderView>& views,
+                  Executor* executor);
 
   PageLocationTable* table_;
   ProvidersFn providers_;
   RebuildOptions options_;
   dht::DhtClient dht_;
   LocationIndex index_;
-  rpc::ChannelPool providers_pool_;
+  provider::ProviderClient providers_client_;
 
   mutable std::mutex stats_mu_;
   RebuildStats stats_;

@@ -33,31 +33,6 @@ void PageFragment::EncodeTo(BinaryWriter* w) const {
 
 Status PageFragment::DecodeFrom(BinaryReader* r) {
   BS_RETURN_NOT_OK(r->GetPageId(&pid));
-  legacy_providers.clear();
-  BS_RETURN_NOT_OK(r->GetU32(&page_off));
-  BS_RETURN_NOT_OK(r->GetU32(&len));
-  return r->GetU32(&data_off);
-}
-
-Status PageFragment::DecodeV2From(BinaryReader* r) {
-  BS_RETURN_NOT_OK(r->GetPageId(&pid));
-  uint8_t n;
-  BS_RETURN_NOT_OK(r->GetU8(&n));
-  if (n == 0) return Status::Corruption("fragment with empty replica set");
-  if (static_cast<uint64_t>(n) * 4 > r->remaining())
-    return Status::Corruption("replica count exceeds payload");
-  legacy_providers.resize(n);
-  for (auto& p : legacy_providers) BS_RETURN_NOT_OK(r->GetU32(&p));
-  BS_RETURN_NOT_OK(r->GetU32(&page_off));
-  BS_RETURN_NOT_OK(r->GetU32(&len));
-  return r->GetU32(&data_off);
-}
-
-Status PageFragment::DecodeLegacyFrom(BinaryReader* r) {
-  BS_RETURN_NOT_OK(r->GetPageId(&pid));
-  ProviderId p = kInvalidProvider;
-  BS_RETURN_NOT_OK(r->GetU32(&p));
-  legacy_providers.assign(1, p);
   BS_RETURN_NOT_OK(r->GetU32(&page_off));
   BS_RETURN_NOT_OK(r->GetU32(&len));
   return r->GetU32(&data_off);
@@ -77,17 +52,12 @@ void MetaNode::EncodeTo(BinaryWriter* w) const {
 }
 
 Status MetaNode::DecodeFrom(BinaryReader* r) {
+  uint8_t format;
+  BS_RETURN_NOT_OK(r->GetU8(&format));
+  if (format != kNodeFormatV3) return Status::Corruption("bad node format");
   uint8_t t;
   BS_RETURN_NOT_OK(r->GetU8(&t));
-  // Format v1 carried no version marker: byte 0 was the node type. Marker
-  // values 2 and 3 were invalid there, so the first byte disambiguates.
-  const uint8_t format = t <= 1 ? 1 : t;
-  if (format > 1) {
-    if (format != kNodeFormatV2 && format != kNodeFormatV3)
-      return Status::Corruption("bad node format");
-    BS_RETURN_NOT_OK(r->GetU8(&t));
-    if (t > 1) return Status::Corruption("bad node type");
-  }
+  if (t > 1) return Status::Corruption("bad node type");
   type = static_cast<Type>(t);
   if (type == Type::kInner) {
     BS_RETURN_NOT_OK(r->GetU64(&left_version));
@@ -95,20 +65,7 @@ Status MetaNode::DecodeFrom(BinaryReader* r) {
   }
   BS_RETURN_NOT_OK(r->GetU64(&prev_version));
   BS_RETURN_NOT_OK(r->GetU32(&chain_len));
-  if (format == kNodeFormatV3) return GetVector(r, &fragments);
-  uint32_t n = 0;
-  BS_RETURN_NOT_OK(r->GetU32(&n));
-  if (n > r->remaining())
-    return Status::Corruption("vector count exceeds payload");
-  fragments.clear();
-  fragments.reserve(n);
-  for (uint32_t i = 0; i < n; i++) {
-    PageFragment f;
-    BS_RETURN_NOT_OK(format == kNodeFormatV2 ? f.DecodeV2From(r)
-                                             : f.DecodeLegacyFrom(r));
-    fragments.push_back(std::move(f));
-  }
-  return Status::OK();
+  return GetVector(r, &fragments);
 }
 
 std::string MetaNode::ToString() const {

@@ -38,11 +38,6 @@ struct NodeKey {
 /// failure detector can move replicas without rewriting metadata.
 struct PageFragment {
   PageId pid;
-  /// Replica set embedded by pre-indirection formats (v1: one provider,
-  /// v2: the full set). Empty on v3 fragments. Never re-encoded — readers
-  /// use it only to seed the location index for pages written before the
-  /// indirection existed.
-  std::vector<ProviderId> legacy_providers;
   uint32_t page_off = 0;
   uint32_t len = 0;
   uint32_t data_off = 0;
@@ -51,19 +46,14 @@ struct PageFragment {
 
   void EncodeTo(BinaryWriter* w) const;
   Status DecodeFrom(BinaryReader* r);
-  /// Format v2 fragment body: PageId plus embedded replica set.
-  Status DecodeV2From(BinaryReader* r);
-  /// Pre-replication (format v1) fragment body: a single provider id.
-  Status DecodeLegacyFrom(BinaryReader* r);
 };
 
-/// Wire-format version markers for MetaNode (see EncodeTo/DecodeFrom).
-/// Format v1 had no marker: its first byte was the node type (0 or 1).
-/// Format v2 prefixes a tag and embeds a replica-set provider list per leaf
-/// fragment. Format v3 drops the embedded providers — fragments carry only
-/// the stable PageId and the location index maps it to the current replica
-/// set. Decoding accepts all three so existing DHT contents stay readable.
-inline constexpr uint8_t kNodeFormatV2 = 2;
+/// Wire-format version marker, the first byte of every encoded MetaNode.
+/// Format v3 fragments carry only the stable PageId; the location index
+/// maps it to the current replica set. Nodes live in the in-memory DHT, so
+/// no node of an older format (v1: no marker, v2: embedded replica sets)
+/// can outlive the process that wrote it: decoding rejects every other
+/// marker as Corruption.
 inline constexpr uint8_t kNodeFormatV3 = 3;
 
 /// A tree node. Inner nodes carry the version labels of their two children

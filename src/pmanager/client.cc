@@ -1,109 +1,54 @@
 #include "pmanager/client.h"
 
-#include "rpc/call.h"
-
 namespace blobseer::pmanager {
 
 ProviderManagerClient::ProviderManagerClient(rpc::Transport* transport,
                                              std::string address,
                                              size_t channels)
-    : transport_(transport),
-      address_(std::move(address)),
-      pool_(transport_, channels) {}
+    : address_(std::move(address)), pool_(transport, channels) {}
 
-// Reconnect-once on Unavailable for binding transports: a channel pooled
-// before a provider-manager restart stays broken, so drop it and retry on
-// a fresh connection. Register and Heartbeat are idempotent; a duplicated
-// Allocate can over-charge allocated_pages transiently, which the next
-// heartbeat's stored-page count corrects.
-template <typename Req, typename Rsp>
-Status ProviderManagerClient::Call(rpc::Method method, const Req& req,
-                                   Rsp* rsp) {
-  auto ch = pool_.Get(address_);
-  if (!ch.ok()) return ch.status();
-  Status s = rpc::CallMethod(ch->get(), method, req, rsp);
-  if (!s.IsUnavailable() || !pool_.binding()) return s;
-  pool_.Invalidate(address_);
-  ch = pool_.Get(address_);
-  if (!ch.ok()) return s;
-  *rsp = Rsp{};
-  return rpc::CallMethod(ch->get(), method, req, rsp);
-}
-
-template <typename Req, typename Rsp>
-Future<Rsp> ProviderManagerClient::CallAsync(rpc::Method method,
-                                             const Req& req) {
-  auto ch = pool_.Get(address_);
-  if (!ch.ok()) return MakeReadyFuture<Rsp>(ch.status());
-  auto shared = std::make_shared<Req>(req);
-  return rpc::CallMethodAsync<Req, Rsp>(ch->get(), method, *shared)
-      .Then([this, method, shared](Result<Rsp> r) -> Future<Rsp> {
-        if (r.ok() || !r.status().IsUnavailable() || !pool_.binding())
-          return MakeReadyFuture<Rsp>(std::move(r));
-        pool_.Invalidate(address_);
-        auto retry = pool_.Get(address_);
-        if (!retry.ok()) return MakeReadyFuture<Rsp>(std::move(r));
-        return rpc::CallMethodAsync<Req, Rsp>(retry->get(), method, *shared);
-      });
-}
-
-Result<ProviderId> ProviderManagerClient::Register(
+Future<ProviderId> ProviderManagerClient::RegisterAsync(
     const std::string& provider_address, uint64_t capacity_pages) {
-  RegisterRequest req{provider_address, capacity_pages};
-  RegisterResponse rsp;
-  BS_RETURN_NOT_OK(Call(rpc::Method::kPmRegister, req, &rsp));
-  return rsp.id;
-}
-
-Status ProviderManagerClient::Heartbeat(ProviderId id, uint64_t pages,
-                                        uint64_t bytes) {
-  HeartbeatRequest req{id, pages, bytes};
-  HeartbeatResponse rsp;
-  return Call(rpc::Method::kPmHeartbeat, req, &rsp);
-}
-
-Result<std::vector<std::vector<ProviderId>>>
-ProviderManagerClient::AllocateReplicated(uint32_t num_pages,
-                                          uint32_t replication) {
-  AllocateRequest req{num_pages, replication};
-  AllocateResponse rsp;
-  BS_RETURN_NOT_OK(Call(rpc::Method::kPmAllocate, req, &rsp));
-  return std::move(rsp.replicas);
-}
-
-Status ProviderManagerClient::ReportLocations(
-    const ReportLocationsRequest& req) {
-  ReportLocationsResponse rsp;
-  return Call(rpc::Method::kPmReportLocations, req, &rsp);
-}
-
-Future<Unit> ProviderManagerClient::ReportLocationsAsync(
-    ReportLocationsRequest req) {
-  return CallAsync<ReportLocationsRequest, ReportLocationsResponse>(
-             rpc::Method::kPmReportLocations, req)
-      .Then([](Result<ReportLocationsResponse> r) -> Status {
-        return r.status();
+  return Call<RegisterRequest, RegisterResponse>(
+             rpc::Method::kPmRegister,
+             RegisterRequest{provider_address, capacity_pages})
+      .Then([](Result<RegisterResponse> rsp) -> Result<ProviderId> {
+        if (!rsp.ok()) return rsp.status();
+        return rsp->id;
       });
 }
 
-Result<DecommissionResponse> ProviderManagerClient::Decommission(
-    ProviderId id) {
-  DecommissionRequest req{id};
-  DecommissionResponse rsp;
-  BS_RETURN_NOT_OK(Call(rpc::Method::kPmDecommission, req, &rsp));
-  return rsp;
+Future<Unit> ProviderManagerClient::HeartbeatAsync(ProviderId id,
+                                                   uint64_t pages,
+                                                   uint64_t bytes) {
+  return Call<HeartbeatRequest, HeartbeatResponse>(
+             rpc::Method::kPmHeartbeat, HeartbeatRequest{id, pages, bytes})
+      .Then([](Result<HeartbeatResponse> rsp) { return rsp.status(); });
 }
 
 Future<std::vector<std::vector<ProviderId>>>
 ProviderManagerClient::AllocateReplicatedAsync(uint32_t num_pages,
                                                uint32_t replication) {
-  return CallAsync<AllocateRequest, AllocateResponse>(
+  return Call<AllocateRequest, AllocateResponse>(
              rpc::Method::kPmAllocate, AllocateRequest{num_pages, replication})
       .Then([](Result<AllocateResponse> rsp)
                 -> Result<std::vector<std::vector<ProviderId>>> {
         if (!rsp.ok()) return rsp.status();
         return std::move(rsp->replicas);
       });
+}
+
+Future<Unit> ProviderManagerClient::ReportLocationsAsync(
+    ReportLocationsRequest req) {
+  return Call<ReportLocationsRequest, ReportLocationsResponse>(
+             rpc::Method::kPmReportLocations, std::move(req))
+      .Then([](Result<ReportLocationsResponse> r) { return r.status(); });
+}
+
+Future<DecommissionResponse> ProviderManagerClient::DecommissionAsync(
+    ProviderId id) {
+  return Call<DecommissionRequest, DecommissionResponse>(
+      rpc::Method::kPmDecommission, DecommissionRequest{id});
 }
 
 Result<std::string> ProviderManagerClient::CachedAddress(ProviderId id) {
@@ -114,43 +59,33 @@ Result<std::string> ProviderManagerClient::CachedAddress(ProviderId id) {
   return it->second;
 }
 
-Result<std::string> ProviderManagerClient::ResolveAddress(ProviderId id) {
-  auto cached = CachedAddress(id);
-  if (cached.ok()) return cached;
-  auto dir = FetchDirectory();
-  if (!dir.ok()) return dir.status();
-  return CachedAddress(id);
-}
-
 Future<std::string> ProviderManagerClient::ResolveAddressAsync(ProviderId id) {
   auto cached = CachedAddress(id);
   if (cached.ok()) return MakeReadyFuture<std::string>(std::move(cached));
-  return CallAsync<DirectoryRequest, DirectoryResponse>(
-             rpc::Method::kPmDirectory, DirectoryRequest{})
-      .Then([this, id](Result<DirectoryResponse> rsp) -> Result<std::string> {
-        if (!rsp.ok()) return rsp.status();
-        {
-          std::lock_guard<std::mutex> lock(mu_);
-          for (const auto& e : rsp->entries) directory_[e.id] = e.address;
-        }
+  return FetchDirectoryAsync().Then(
+      [this, id](Result<std::vector<DirectoryEntry>> dir)
+          -> Result<std::string> {
+        if (!dir.ok()) return dir.status();
         return CachedAddress(id);
       });
 }
 
-Result<PmStatsResponse> ProviderManagerClient::FetchStats() {
-  PmStatsRequest req;
-  PmStatsResponse rsp;
-  BS_RETURN_NOT_OK(Call(rpc::Method::kPmStats, req, &rsp));
-  return rsp;
+Future<std::vector<DirectoryEntry>>
+ProviderManagerClient::FetchDirectoryAsync() {
+  return Call<DirectoryRequest, DirectoryResponse>(rpc::Method::kPmDirectory,
+                                                   DirectoryRequest{})
+      .Then([this](Result<DirectoryResponse> rsp)
+                -> Result<std::vector<DirectoryEntry>> {
+        if (!rsp.ok()) return rsp.status();
+        std::lock_guard<std::mutex> lock(mu_);
+        for (const auto& e : rsp->entries) directory_[e.id] = e.address;
+        return std::move(rsp->entries);
+      });
 }
 
-Result<std::vector<DirectoryEntry>> ProviderManagerClient::FetchDirectory() {
-  DirectoryRequest req;
-  DirectoryResponse rsp;
-  BS_RETURN_NOT_OK(Call(rpc::Method::kPmDirectory, req, &rsp));
-  std::lock_guard<std::mutex> lock(mu_);
-  for (const auto& e : rsp.entries) directory_[e.id] = e.address;
-  return std::move(rsp.entries);
+Future<PmStatsResponse> ProviderManagerClient::FetchStatsAsync() {
+  return Call<PmStatsRequest, PmStatsResponse>(rpc::Method::kPmStats,
+                                               PmStatsRequest{});
 }
 
 }  // namespace blobseer::pmanager

@@ -1,4 +1,5 @@
-// Typed client for the provider manager.
+// Typed client for the provider manager. Every operation is asynchronous;
+// a caller that needs the result now waits with Future::Wait(executor).
 #ifndef BLOBSEER_PMANAGER_CLIENT_H_
 #define BLOBSEER_PMANAGER_CLIENT_H_
 
@@ -19,52 +20,47 @@ class ProviderManagerClient {
   ProviderManagerClient(rpc::Transport* transport, std::string address,
                         size_t channels = 2);
 
-  Result<ProviderId> Register(const std::string& provider_address,
-                              uint64_t capacity_pages);
-  Status Heartbeat(ProviderId id, uint64_t pages, uint64_t bytes);
+  Future<ProviderId> RegisterAsync(const std::string& provider_address,
+                                   uint64_t capacity_pages);
+  Future<Unit> HeartbeatAsync(ProviderId id, uint64_t pages, uint64_t bytes);
 
   /// Asks for a replica set of `replication` distinct providers per page
   /// (primary first). Fails with Unavailable when fewer live providers than
   /// `replication` are registered. This is the only allocation surface —
   /// unreplicated callers pass replication = 1.
-  Result<std::vector<std::vector<ProviderId>>> AllocateReplicated(
+  Future<std::vector<std::vector<ProviderId>>> AllocateReplicatedAsync(
       uint32_t num_pages, uint32_t replication);
 
   /// Feeds the provider manager's location table (best-effort: the DHT
   /// entries remain authoritative, this view only drives rebuilds).
-  Status ReportLocations(const ReportLocationsRequest& req);
   Future<Unit> ReportLocationsAsync(ReportLocationsRequest req);
 
   /// Marks a provider draining and reports how many pages still reference
   /// it. Poll until `drained` before retiring the process.
-  Result<DecommissionResponse> Decommission(ProviderId id);
+  Future<DecommissionResponse> DecommissionAsync(ProviderId id);
 
-  /// Resolves a provider id to its endpoint address, refreshing the cached
-  /// directory on miss.
-  Result<std::string> ResolveAddress(ProviderId id);
+  /// Resolves a provider id to its endpoint address; a directory cache hit
+  /// resolves immediately, a miss refreshes the directory.
+  Future<std::string> ResolveAddressAsync(ProviderId id);
 
   /// Forces a directory refresh and returns it.
-  Result<std::vector<DirectoryEntry>> FetchDirectory();
+  Future<std::vector<DirectoryEntry>> FetchDirectoryAsync();
 
   /// Registry statistics, including the failure detector's current
   /// alive/suspect/dead counts and the location-table health counters
   /// (tools, tests and churn harnesses).
-  Result<PmStatsResponse> FetchStats();
-
-  /// Async variants used by the client pipeline; a directory cache hit
-  /// resolves the address future immediately.
-  Future<std::vector<std::vector<ProviderId>>> AllocateReplicatedAsync(
-      uint32_t num_pages, uint32_t replication);
-  Future<std::string> ResolveAddressAsync(ProviderId id);
+  Future<PmStatsResponse> FetchStatsAsync();
 
  private:
+  /// Pooled call with reconnect-once. Register and Heartbeat are
+  /// idempotent; a duplicated Allocate can over-charge allocated_pages
+  /// transiently, which the next heartbeat's stored-page count corrects.
   template <typename Req, typename Rsp>
-  Status Call(rpc::Method method, const Req& req, Rsp* rsp);
-  template <typename Req, typename Rsp>
-  Future<Rsp> CallAsync(rpc::Method method, const Req& req);
+  Future<Rsp> Call(rpc::Method method, Req req) {
+    return pool_.CallWithReconnect<Req, Rsp>(address_, method, std::move(req));
+  }
 
   Result<std::string> CachedAddress(ProviderId id);
-  rpc::Transport* transport_;
   std::string address_;
   rpc::ChannelPool pool_;
   std::mutex mu_;

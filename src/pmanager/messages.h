@@ -117,7 +117,7 @@ struct DirectoryResponse {
 };
 
 /// One page's location as known to the reporter (a client that just stored
-/// it, or a reader that seeded a pre-v3 page).
+/// it).
 struct PageLocationInfo {
   PageId pid;
   uint64_t epoch = 0;

@@ -14,26 +14,22 @@
 namespace blobseer::provider {
 
 /// Stateless helper issuing page operations against arbitrary provider
-/// addresses through a shared channel pool (thread-safe).
+/// addresses through a shared channel pool (thread-safe). Page operations
+/// are idempotent (pages are immutable and deletes tolerate repeats), so
+/// every call reconnects once on a stale pooled channel.
 class ProviderClient {
  public:
   ProviderClient(rpc::Transport* transport, size_t channels_per_endpoint = 4);
 
-  Status WritePage(const std::string& address, const PageId& pid, Slice data);
-  Status ReadPage(const std::string& address, const PageId& pid,
-                  uint64_t offset, uint64_t len, std::string* out);
-  Status DeletePage(const std::string& address, const PageId& pid);
-  Status Stats(const std::string& address, uint64_t* pages, uint64_t* bytes);
-  /// Full store statistics, including the log-backend extension fields.
-  Result<PageStoreStats> FetchStats(const std::string& address);
-
-  /// Async variants used by the client pipeline's page fan-out.
   Future<Unit> WritePageAsync(const std::string& address, const PageId& pid,
                               Slice data);
+  /// `len == 0` reads through the end of the stored object.
   Future<std::string> ReadPageAsync(const std::string& address,
                                     const PageId& pid, uint64_t offset,
                                     uint64_t len);
   Future<Unit> DeletePageAsync(const std::string& address, const PageId& pid);
+  /// Full store statistics, including the log-backend extension fields.
+  Future<PageStoreStats> FetchStatsAsync(const std::string& address);
 
  private:
   rpc::ChannelPool pool_;

@@ -43,7 +43,7 @@ void ProviderService::StartHeartbeat(Executor* executor, Clock* clock,
   hb_ = loop;
   // The raw store pointer is safe: the destructor stops the loop (and
   // waits on `done`) before `store_` is destroyed.
-  executor->Schedule([loop, clock, store = store_.get()] {
+  executor->Schedule([loop, clock, executor, store = store_.get()] {
     uint64_t sleep_us = loop->config.initial_delay_us
                             ? loop->config.initial_delay_us
                             : loop->config.interval_us;
@@ -52,13 +52,17 @@ void ProviderService::StartHeartbeat(Executor* executor, Clock* clock,
       sleep_us = loop->config.interval_us;
       if (loop->stop.load(std::memory_order_acquire)) break;
       PageStoreStats st = store->GetStats();
-      Status s = loop->pm->Heartbeat(loop->config.id, st.pages, st.bytes);
+      Status s = loop->pm->HeartbeatAsync(loop->config.id, st.pages, st.bytes)
+                     .Wait(executor)
+                     .status();
       if (s.IsNotFound()) {
         // The provider manager does not know us (it restarted with an
         // empty registry): re-register under the same address, which
         // also refreshes liveness.
-        auto id = loop->pm->Register(loop->config.self_address,
-                                     loop->config.capacity_pages);
+        auto id = loop->pm
+                      ->RegisterAsync(loop->config.self_address,
+                                      loop->config.capacity_pages)
+                      .Wait(executor);
         if (id.ok()) {
           loop->config.id = *id;
           s = Status::OK();

@@ -13,6 +13,7 @@
 #include <string>
 #include <vector>
 
+#include "rpc/call.h"
 #include "rpc/transport.h"
 
 namespace blobseer::rpc {
@@ -34,6 +35,32 @@ class ChannelPool {
   /// Unavailable from a pooled channel may mean "stale channel to a
   /// restarted endpoint" and Invalidate + Get can reach it again.
   bool binding() const { return transport_->binds_at_connect(); }
+
+  /// Typed async call to `address` on a pooled channel, reconnecting once
+  /// on Unavailable when the transport binds at connect: a channel pooled
+  /// before an endpoint restart keeps failing even once the endpoint serves
+  /// again, so the pool entry is dropped and the call retried on a fresh
+  /// connection. For idempotent methods only. Simnet resolves endpoints per
+  /// call and opts out via binds_at_connect() — its failure model must not
+  /// gain hidden retries. The pool must outlive the returned future.
+  template <typename Req, typename Rsp>
+  Future<Rsp> CallWithReconnect(const std::string& address, Method method,
+                                Req req) {
+    auto ch = Get(address);
+    if (!ch.ok()) return MakeReadyFuture<Rsp>(ch.status());
+    // Shared with the retry continuation: serialized twice at most, copied
+    // into the closure once.
+    auto shared = std::make_shared<Req>(std::move(req));
+    return CallMethodAsync<Req, Rsp>(ch->get(), method, *shared)
+        .Then([this, address, method, shared](Result<Rsp> r) -> Future<Rsp> {
+          if (r.ok() || !r.status().IsUnavailable() || !binding())
+            return MakeReadyFuture<Rsp>(std::move(r));
+          Invalidate(address);
+          auto retry = Get(address);
+          if (!retry.ok()) return MakeReadyFuture<Rsp>(std::move(r));
+          return CallMethodAsync<Req, Rsp>(retry->get(), method, *shared);
+        });
+  }
 
  private:
   struct Entry {

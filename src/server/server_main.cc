@@ -205,7 +205,7 @@ int main(int argc, char** argv) {
       return 2;
     }
     pmanager::ProviderManagerClient pm(&transport, pm_addr);
-    auto id = pm.Register(*bound, capacity);
+    auto id = pm.RegisterAsync(*bound, capacity).Wait();
     if (!id.ok()) {
       fprintf(stderr, "provider registration failed: %s\n",
               id.status().ToString().c_str());

@@ -123,7 +123,27 @@ void SimScheduler::SleepFor(double us) {
   SwitchOutLocked(lock, me, /*rejoinable=*/true);
 }
 
+void SimScheduler::ReapFinished() {
+  std::vector<std::thread> exited;
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    for (TaskId id : finished_) {
+      auto it = tasks_.find(id);
+      if (it == tasks_.end()) continue;  // Join reaped it already
+      exited.push_back(std::move(it->second->thread));
+      tasks_.erase(it);
+    }
+    finished_.clear();
+  }
+  // Outside the lock, as in Join: a finished task's thread released the
+  // scheduler for good when it switched out, so only its teardown is left.
+  for (std::thread& t : exited) {
+    if (t.joinable()) t.join();
+  }
+}
+
 SimScheduler::TaskId SimScheduler::Spawn(std::function<void()> fn) {
+  ReapFinished();
   std::unique_lock<std::mutex> lock(mu_);
   Task* parent = CurrentLocked();
   TaskId id = ++next_id_;
@@ -146,6 +166,7 @@ SimScheduler::TaskId SimScheduler::Spawn(std::function<void()> fn) {
     std::unique_lock<std::mutex> lk(mu_);
     t->state = Task::State::kDone;
     alive_--;
+    finished_.push_back(t->id);
     for (TaskId w : t->join_waiters) {
       auto it = tasks_.find(w);
       if (it != tasks_.end() &&

@@ -58,10 +58,13 @@ class SimScheduler {
 
   /// Spawns a task; it inherits the caller's node id. Must be called from a
   /// running sim task (or before Run for the initial set — not supported;
-  /// spawn from root).
+  /// spawn from root). Tasks that finished since the previous Spawn are
+  /// reaped first, so fire-and-forget tasks (one per simnet CallAsync) do
+  /// not pile up as exited-but-unjoined OS threads.
   TaskId Spawn(std::function<void()> fn);
 
-  /// Blocks the calling task until `id` finishes.
+  /// Blocks the calling task until `id` finishes (returns at once when it
+  /// already finished and was reaped).
   void Join(TaskId id);
 
   /// Node id associated with the running task (used by SimTransport to
@@ -104,6 +107,8 @@ class SimScheduler {
   void SwitchOutLocked(std::unique_lock<std::mutex>& lock, Task* me,
                        bool rejoinable);
   Task* PickNextLocked();
+  /// Joins the OS threads of finished tasks and drops their records.
+  void ReapFinished();
   void MakeReadyLocked(Task* t);
   void PushWakeLocked(Task* t);
 
@@ -117,6 +122,7 @@ class SimScheduler {
   TaskId running_ = 0;
   TaskId next_id_ = 0;
   size_t alive_ = 0;
+  std::vector<TaskId> finished_;  ///< done, not yet reaped
 };
 
 /// Condition variable in virtual time. Waiters are woken by NotifyAll (or

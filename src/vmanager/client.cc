@@ -10,52 +10,36 @@ VersionManagerClient::VersionManagerClient(rpc::Transport* transport,
                                            size_t channels)
     : address_(std::move(address)), pool_(transport, channels) {}
 
-Result<rpc::Channel*> VersionManagerClient::Chan() {
+template <typename Rsp, typename Req>
+Future<Rsp> VersionManagerClient::Call(rpc::Method method, const Req& req) {
   auto ch = pool_.Get(address_);
-  if (!ch.ok()) return ch.status();
-  return ch->get();
+  if (!ch.ok()) return MakeReadyFuture<Rsp>(ch.status());
+  return rpc::CallMethodAsync<Req, Rsp>(ch->get(), method, req);
 }
 
-Result<BlobDescriptor> VersionManagerClient::CreateBlob(uint64_t psize) {
-  auto ch = Chan();
-  if (!ch.ok()) return ch.status();
-  CreateBlobRequest req{psize};
-  CreateBlobResponse rsp;
-  BS_RETURN_NOT_OK(
-      rpc::CallMethod(*ch, rpc::Method::kVmCreateBlob, req, &rsp));
-  return std::move(rsp.descriptor);
+template <typename Rsp, typename Req, typename T>
+Future<T> VersionManagerClient::Call(rpc::Method method, const Req& req,
+                                     T Rsp::*field) {
+  return Call<Rsp>(method, req).Then([field](Result<Rsp> rsp) -> Result<T> {
+    if (!rsp.ok()) return rsp.status();
+    return std::move((*rsp).*field);
+  });
+}
+
+template <typename Rsp, typename Req>
+Future<Unit> VersionManagerClient::CallStatus(rpc::Method method,
+                                              const Req& req) {
+  return Call<Rsp>(method, req).Then(
+      [](Result<Rsp> rsp) { return rsp.status(); });
 }
 
 Future<BlobDescriptor> VersionManagerClient::CreateBlobAsync(uint64_t psize) {
-  auto ch = Chan();
-  if (!ch.ok()) return MakeReadyFuture<BlobDescriptor>(ch.status());
-  return rpc::CallMethodAsync<CreateBlobRequest, CreateBlobResponse>(
-             *ch, rpc::Method::kVmCreateBlob, CreateBlobRequest{psize})
-      .Then([](Result<CreateBlobResponse> rsp) -> Result<BlobDescriptor> {
-        if (!rsp.ok()) return rsp.status();
-        return std::move(rsp->descriptor);
-      });
-}
-
-Result<BlobDescriptor> VersionManagerClient::OpenBlob(BlobId id,
-                                                      Version* published,
-                                                      uint64_t* published_size) {
-  auto ch = Chan();
-  if (!ch.ok()) return ch.status();
-  OpenBlobRequest req{id};
-  OpenBlobResponse rsp;
-  BS_RETURN_NOT_OK(
-      rpc::CallMethod(*ch, rpc::Method::kVmOpenBlob, req, &rsp));
-  if (published) *published = rsp.published;
-  if (published_size) *published_size = rsp.published_size;
-  return std::move(rsp.descriptor);
+  return Call(rpc::Method::kVmCreateBlob, CreateBlobRequest{psize},
+              &CreateBlobResponse::descriptor);
 }
 
 Future<OpenInfo> VersionManagerClient::OpenBlobAsync(BlobId id) {
-  auto ch = Chan();
-  if (!ch.ok()) return MakeReadyFuture<OpenInfo>(ch.status());
-  return rpc::CallMethodAsync<OpenBlobRequest, OpenBlobResponse>(
-             *ch, rpc::Method::kVmOpenBlob, OpenBlobRequest{id})
+  return Call<OpenBlobResponse>(rpc::Method::kVmOpenBlob, OpenBlobRequest{id})
       .Then([](Result<OpenBlobResponse> rsp) -> Result<OpenInfo> {
         if (!rsp.ok()) return rsp.status();
         return OpenInfo{std::move(rsp->descriptor), rsp->published,
@@ -63,136 +47,47 @@ Future<OpenInfo> VersionManagerClient::OpenBlobAsync(BlobId id) {
       });
 }
 
-Result<AssignTicket> VersionManagerClient::AssignVersion(BlobId id,
-                                                         bool is_append,
-                                                         uint64_t offset,
-                                                         uint64_t size) {
-  auto ch = Chan();
-  if (!ch.ok()) return ch.status();
-  AssignRequest req{id, is_append, offset, size};
-  AssignResponse rsp;
-  BS_RETURN_NOT_OK(
-      rpc::CallMethod(*ch, rpc::Method::kVmAssignVersion, req, &rsp));
-  return std::move(rsp.ticket);
-}
-
 Future<AssignTicket> VersionManagerClient::AssignVersionAsync(BlobId id,
                                                               bool is_append,
                                                               uint64_t offset,
                                                               uint64_t size) {
-  auto ch = Chan();
-  if (!ch.ok()) return MakeReadyFuture<AssignTicket>(ch.status());
-  return rpc::CallMethodAsync<AssignRequest, AssignResponse>(
-             *ch, rpc::Method::kVmAssignVersion,
-             AssignRequest{id, is_append, offset, size})
-      .Then([](Result<AssignResponse> rsp) -> Result<AssignTicket> {
-        if (!rsp.ok()) return rsp.status();
-        return std::move(rsp->ticket);
-      });
-}
-
-Status VersionManagerClient::NotifySuccess(BlobId id, Version version) {
-  auto ch = Chan();
-  if (!ch.ok()) return ch.status();
-  NotifyRequest req{id, version};
-  NotifyResponse rsp;
-  return rpc::CallMethod(*ch, rpc::Method::kVmNotifySuccess, req, &rsp);
+  return Call(rpc::Method::kVmAssignVersion,
+              AssignRequest{id, is_append, offset, size},
+              &AssignResponse::ticket);
 }
 
 Future<Unit> VersionManagerClient::NotifySuccessAsync(BlobId id,
                                                       Version version) {
-  auto ch = Chan();
-  if (!ch.ok()) return MakeReadyFuture(ch.status());
-  return rpc::CallMethodAsync<NotifyRequest, NotifyResponse>(
-             *ch, rpc::Method::kVmNotifySuccess, NotifyRequest{id, version})
-      .Then([](Result<NotifyResponse> rsp) { return rsp.status(); });
-}
-
-Result<AbortOutcome> VersionManagerClient::AbortUpdate(BlobId id,
-                                                       Version version) {
-  auto ch = Chan();
-  if (!ch.ok()) return ch.status();
-  AbortRequest req{id, version};
-  AbortResponse rsp;
-  BS_RETURN_NOT_OK(
-      rpc::CallMethod(*ch, rpc::Method::kVmAbortUpdate, req, &rsp));
-  return std::move(rsp.outcome);
+  return CallStatus<NotifyResponse>(rpc::Method::kVmNotifySuccess,
+                                    NotifyRequest{id, version});
 }
 
 Future<AbortOutcome> VersionManagerClient::AbortUpdateAsync(BlobId id,
                                                             Version version) {
-  auto ch = Chan();
-  if (!ch.ok()) return MakeReadyFuture<AbortOutcome>(ch.status());
-  return rpc::CallMethodAsync<AbortRequest, AbortResponse>(
-             *ch, rpc::Method::kVmAbortUpdate, AbortRequest{id, version})
-      .Then([](Result<AbortResponse> rsp) -> Result<AbortOutcome> {
-        if (!rsp.ok()) return rsp.status();
-        return std::move(rsp->outcome);
-      });
-}
-
-Result<RecentVersion> VersionManagerClient::GetRecent(BlobId id) {
-  auto ch = Chan();
-  if (!ch.ok()) return ch.status();
-  GetRecentRequest req{id};
-  GetRecentResponse rsp;
-  BS_RETURN_NOT_OK(
-      rpc::CallMethod(*ch, rpc::Method::kVmGetRecent, req, &rsp));
-  return RecentVersion{rsp.version, rsp.size};
+  return Call(rpc::Method::kVmAbortUpdate, AbortRequest{id, version},
+              &AbortResponse::outcome);
 }
 
 Future<RecentVersion> VersionManagerClient::GetRecentAsync(BlobId id) {
-  auto ch = Chan();
-  if (!ch.ok()) return MakeReadyFuture<RecentVersion>(ch.status());
-  return rpc::CallMethodAsync<GetRecentRequest, GetRecentResponse>(
-             *ch, rpc::Method::kVmGetRecent, GetRecentRequest{id})
+  return Call<GetRecentResponse>(rpc::Method::kVmGetRecent,
+                                 GetRecentRequest{id})
       .Then([](Result<GetRecentResponse> rsp) -> Result<RecentVersion> {
         if (!rsp.ok()) return rsp.status();
         return RecentVersion{rsp->version, rsp->size};
       });
 }
 
-Result<uint64_t> VersionManagerClient::GetSize(BlobId id, Version version) {
-  auto ch = Chan();
-  if (!ch.ok()) return ch.status();
-  GetSizeRequest req{id, version};
-  GetSizeResponse rsp;
-  BS_RETURN_NOT_OK(
-      rpc::CallMethod(*ch, rpc::Method::kVmGetSize, req, &rsp));
-  return rsp.size;
-}
-
 Future<uint64_t> VersionManagerClient::GetSizeAsync(BlobId id,
                                                     Version version) {
-  auto ch = Chan();
-  if (!ch.ok()) return MakeReadyFuture<uint64_t>(ch.status());
-  return rpc::CallMethodAsync<GetSizeRequest, GetSizeResponse>(
-             *ch, rpc::Method::kVmGetSize, GetSizeRequest{id, version})
-      .Then([](Result<GetSizeResponse> rsp) -> Result<uint64_t> {
-        if (!rsp.ok()) return rsp.status();
-        return rsp->size;
-      });
-}
-
-Status VersionManagerClient::AwaitPublished(BlobId id, Version version,
-                                            uint64_t timeout_us) {
-  auto ch = Chan();
-  if (!ch.ok()) return ch.status();
-  AwaitRequest req{id, version, timeout_us};
-  AwaitResponse rsp;
-  BS_RETURN_NOT_OK(
-      rpc::CallMethod(*ch, rpc::Method::kVmAwaitPublished, req, &rsp));
-  return rsp.published ? Status::OK() : Status::TimedOut("not published");
+  return Call(rpc::Method::kVmGetSize, GetSizeRequest{id, version},
+              &GetSizeResponse::size);
 }
 
 Future<Unit> VersionManagerClient::AwaitPublishedAsync(BlobId id,
                                                        Version version,
                                                        uint64_t timeout_us) {
-  auto ch = Chan();
-  if (!ch.ok()) return MakeReadyFuture(ch.status());
-  return rpc::CallMethodAsync<AwaitRequest, AwaitResponse>(
-             *ch, rpc::Method::kVmAwaitPublished,
-             AwaitRequest{id, version, timeout_us})
+  return Call<AwaitResponse>(rpc::Method::kVmAwaitPublished,
+                             AwaitRequest{id, version, timeout_us})
       .Then([](Result<AwaitResponse> rsp) -> Status {
         if (!rsp.ok()) return rsp.status();
         return rsp->published ? Status::OK()
@@ -200,80 +95,54 @@ Future<Unit> VersionManagerClient::AwaitPublishedAsync(BlobId id,
       });
 }
 
-Result<BlobDescriptor> VersionManagerClient::Branch(BlobId id,
-                                                    Version version) {
-  auto ch = Chan();
-  if (!ch.ok()) return ch.status();
-  BranchRequest req{id, version};
-  BranchResponse rsp;
-  BS_RETURN_NOT_OK(
-      rpc::CallMethod(*ch, rpc::Method::kVmBranch, req, &rsp));
-  return std::move(rsp.descriptor);
+Future<BlobDescriptor> VersionManagerClient::BranchAsync(BlobId id,
+                                                         Version version) {
+  return Call(rpc::Method::kVmBranch, BranchRequest{id, version},
+              &BranchResponse::descriptor);
 }
 
-Result<VmStats> VersionManagerClient::GetStats() {
-  auto ch = Chan();
-  if (!ch.ok()) return ch.status();
-  VmStatsRequest req;
-  VmStatsResponse rsp;
-  BS_RETURN_NOT_OK(
-      rpc::CallMethod(*ch, rpc::Method::kVmStats, req, &rsp));
-  VmStats st;
-  st.blobs = rsp.blobs;
-  st.assigned = rsp.assigned;
-  st.published = rsp.published;
-  st.aborted = rsp.aborted;
-  st.discarded = rsp.discarded;
-  st.sync_waiters = rsp.sync_waiters;
-  return st;
+Future<VmStats> VersionManagerClient::GetStatsAsync() {
+  return Call<VmStatsResponse>(rpc::Method::kVmStats, VmStatsRequest{})
+      .Then([](Result<VmStatsResponse> rsp) -> Result<VmStats> {
+        if (!rsp.ok()) return rsp.status();
+        VmStats st;
+        st.blobs = rsp->blobs;
+        st.assigned = rsp->assigned;
+        st.published = rsp->published;
+        st.aborted = rsp->aborted;
+        st.discarded = rsp->discarded;
+        st.sync_waiters = rsp->sync_waiters;
+        return st;
+      });
 }
 
-Status VersionManagerClient::SetRetention(
+Future<Unit> VersionManagerClient::SetRetentionAsync(
     BlobId id, const lifecycle::RetentionPolicy& policy) {
-  auto ch = Chan();
-  if (!ch.ok()) return ch.status();
-  SetRetentionRequest req{id, policy};
-  SetRetentionResponse rsp;
-  return rpc::CallMethod(*ch, rpc::Method::kVmSetRetention, req, &rsp);
+  return CallStatus<SetRetentionResponse>(rpc::Method::kVmSetRetention,
+                                          SetRetentionRequest{id, policy});
 }
 
-Result<lifecycle::RetentionPolicy> VersionManagerClient::GetRetention(
+Future<lifecycle::RetentionPolicy> VersionManagerClient::GetRetentionAsync(
     BlobId id) {
-  auto ch = Chan();
-  if (!ch.ok()) return ch.status();
-  GetRetentionRequest req{id};
-  GetRetentionResponse rsp;
-  BS_RETURN_NOT_OK(
-      rpc::CallMethod(*ch, rpc::Method::kVmGetRetention, req, &rsp));
-  return rsp.policy;
+  return Call(rpc::Method::kVmGetRetention, GetRetentionRequest{id},
+              &GetRetentionResponse::policy);
 }
 
-Result<std::vector<VersionInfo>> VersionManagerClient::ListVersions(BlobId id) {
-  auto ch = Chan();
-  if (!ch.ok()) return ch.status();
-  ListVersionsRequest req{id};
-  ListVersionsResponse rsp;
-  BS_RETURN_NOT_OK(
-      rpc::CallMethod(*ch, rpc::Method::kVmListVersions, req, &rsp));
-  return std::move(rsp.versions);
+Future<std::vector<VersionInfo>> VersionManagerClient::ListVersionsAsync(
+    BlobId id) {
+  return Call(rpc::Method::kVmListVersions, ListVersionsRequest{id},
+              &ListVersionsResponse::versions);
 }
 
-Status VersionManagerClient::DiscardVersion(BlobId id, Version version) {
-  auto ch = Chan();
-  if (!ch.ok()) return ch.status();
-  DiscardVersionRequest req{id, version};
-  DiscardVersionResponse rsp;
-  return rpc::CallMethod(*ch, rpc::Method::kVmDiscardVersion, req, &rsp);
+Future<Unit> VersionManagerClient::DiscardVersionAsync(BlobId id,
+                                                       Version version) {
+  return CallStatus<DiscardVersionResponse>(
+      rpc::Method::kVmDiscardVersion, DiscardVersionRequest{id, version});
 }
 
-Result<std::vector<BlobId>> VersionManagerClient::ListBlobs() {
-  auto ch = Chan();
-  if (!ch.ok()) return ch.status();
-  ListBlobsRequest req;
-  ListBlobsResponse rsp;
-  BS_RETURN_NOT_OK(
-      rpc::CallMethod(*ch, rpc::Method::kVmListBlobs, req, &rsp));
-  return std::move(rsp.blobs);
+Future<std::vector<BlobId>> VersionManagerClient::ListBlobsAsync() {
+  return Call(rpc::Method::kVmListBlobs, ListBlobsRequest{},
+              &ListBlobsResponse::blobs);
 }
 
 }  // namespace blobseer::vmanager

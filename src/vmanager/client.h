@@ -1,5 +1,5 @@
-// Typed client for the version manager. Every method has an async variant
-// returning Future<T>; the sync form is a thin wait over the same RPC.
+// Typed client for the version manager. Every operation is asynchronous;
+// a caller that needs the result now waits with Future::Wait(executor).
 #ifndef BLOBSEER_VMANAGER_CLIENT_H_
 #define BLOBSEER_VMANAGER_CLIENT_H_
 
@@ -25,28 +25,6 @@ class VersionManagerClient {
   VersionManagerClient(rpc::Transport* transport, std::string address,
                        size_t channels = 2);
 
-  Result<BlobDescriptor> CreateBlob(uint64_t psize);
-  Result<BlobDescriptor> OpenBlob(BlobId id, Version* published,
-                                  uint64_t* published_size);
-  Result<AssignTicket> AssignVersion(BlobId id, bool is_append,
-                                     uint64_t offset, uint64_t size);
-  Status NotifySuccess(BlobId id, Version version);
-  Result<AbortOutcome> AbortUpdate(BlobId id, Version version);
-  Result<RecentVersion> GetRecent(BlobId id);
-  Result<uint64_t> GetSize(BlobId id, Version version);
-  /// Returns OK / TimedOut like the core call.
-  Status AwaitPublished(BlobId id, Version version, uint64_t timeout_us);
-  Result<BlobDescriptor> Branch(BlobId id, Version version);
-  Result<VmStats> GetStats();
-
-  /// Version lifecycle (docs/lifecycle.md). Sync only: the GC sweeper
-  /// drives these from its own background loop.
-  Status SetRetention(BlobId id, const lifecycle::RetentionPolicy& policy);
-  Result<lifecycle::RetentionPolicy> GetRetention(BlobId id);
-  Result<std::vector<VersionInfo>> ListVersions(BlobId id);
-  Status DiscardVersion(BlobId id, Version version);
-  Result<std::vector<BlobId>> ListBlobs();
-
   Future<BlobDescriptor> CreateBlobAsync(uint64_t psize);
   Future<OpenInfo> OpenBlobAsync(BlobId id);
   Future<AssignTicket> AssignVersionAsync(BlobId id, bool is_append,
@@ -61,11 +39,29 @@ class VersionManagerClient {
   /// — responses are matched by correlation id, not arrival order).
   Future<Unit> AwaitPublishedAsync(BlobId id, Version version,
                                    uint64_t timeout_us);
+  Future<BlobDescriptor> BranchAsync(BlobId id, Version version);
+  Future<VmStats> GetStatsAsync();
+
+  /// Version lifecycle (docs/lifecycle.md), driven by the GC sweeper.
+  Future<Unit> SetRetentionAsync(BlobId id,
+                                 const lifecycle::RetentionPolicy& policy);
+  Future<lifecycle::RetentionPolicy> GetRetentionAsync(BlobId id);
+  Future<std::vector<VersionInfo>> ListVersionsAsync(BlobId id);
+  Future<Unit> DiscardVersionAsync(BlobId id, Version version);
+  Future<std::vector<BlobId>> ListBlobsAsync();
 
   const std::string& address() const { return address_; }
 
  private:
-  Result<rpc::Channel*> Chan();
+  /// Typed call on a pooled channel, without the reconnect-once retry the
+  /// other clients use: AssignVersion is not idempotent. The second form
+  /// resolves to one field of the response, the third to its status.
+  template <typename Rsp, typename Req>
+  Future<Rsp> Call(rpc::Method method, const Req& req);
+  template <typename Rsp, typename Req, typename T>
+  Future<T> Call(rpc::Method method, const Req& req, T Rsp::*field);
+  template <typename Rsp, typename Req>
+  Future<Unit> CallStatus(rpc::Method method, const Req& req);
 
   std::string address_;
   rpc::ChannelPool pool_;

@@ -82,7 +82,7 @@ std::set<ProviderId> AllocatedIds(core::SimCluster* cluster, uint32_t pages,
                                   uint32_t r) {
   pmanager::ProviderManagerClient pm(&cluster->transport(),
                                      cluster->pm_address());
-  auto sets = pm.AllocateReplicated(pages, r);
+  auto sets = pm.AllocateReplicatedAsync(pages, r).Wait(&cluster->executor());
   std::set<ProviderId> ids;
   if (!sets.ok()) {
     ADD_FAILURE() << "allocation failed: " << sets.status().ToString();

@@ -205,16 +205,14 @@ TEST(ClientAsyncSimTest, TimeoutUnderVirtualClock) {
     core::SimClusterOptions opts;
     opts.num_provider_nodes = 3;
     core::SimCluster cluster(&sched, opts);
-    // Coarse poll interval: every virtual poll is a real spawned sim task,
-    // so a fine interval only adds thread churn (TSan keeps per-thread
-    // state) without changing the semantics under test.
-    client::ClientOptions copts;
-    copts.sync_poll_us = 100 * 1000;
-    auto client = cluster.NewClient(copts);
+    auto client = cluster.NewClient();
     auto id = client->Create(64);
     ASSERT_TRUE(id.ok());
     // Stall the pipeline: an assigned version that never completes.
-    ASSERT_TRUE(client->vmanager().AssignVersion(*id, true, 0, 10).ok());
+    ASSERT_TRUE(client->vmanager()
+                    .AssignVersionAsync(*id, true, 0, 10)
+                    .Wait(client->executor())
+                    .ok());
     double t0 = sched.Now();
     auto f = client->SyncAsync(*id, 1, 5 * 1000 * 1000);  // 5 virtual s
     sync_status = f.Wait(client->executor()).status();

@@ -135,7 +135,8 @@ TEST_F(ClientBasicTest, ReadValidation) {
   EXPECT_TRUE(blob.Read(1, 50, 51, &out).IsOutOfRange());
   EXPECT_FALSE(blob.Read(7, 0, 1, &out).ok());  // never published
   // In-flight (assigned, unpublished) version is not readable either.
-  ASSERT_TRUE(client_->vmanager().AssignVersion(*id, true, 0, 10).ok());
+  ASSERT_TRUE(
+      client_->vmanager().AssignVersionAsync(*id, true, 0, 10).Wait().ok());
   EXPECT_FALSE(blob.Read(2, 0, 1, &out).ok());
 }
 
@@ -167,7 +168,8 @@ TEST_F(ClientBasicTest, SyncTimesOutOnStalledVersion) {
   auto id = client_->Create(64);
   ASSERT_TRUE(id.ok());
   // Stall the pipeline: an assigned version that never completes.
-  ASSERT_TRUE(client_->vmanager().AssignVersion(*id, true, 0, 10).ok());
+  ASSERT_TRUE(
+      client_->vmanager().AssignVersionAsync(*id, true, 0, 10).Wait().ok());
   EXPECT_TRUE(client_->Sync(*id, 1, 50 * 1000).IsTimedOut());
 }
 

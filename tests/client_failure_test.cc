@@ -39,7 +39,7 @@ TEST_F(FailureTest, AbortOfNewestUpdateRetracts) {
   Blob blob(client_.get(), *id);
   ASSERT_TRUE(blob.AppendSync(TestPayload(0, 100)).ok());
   // A "crashed" writer: version assigned, then nothing.
-  auto ticket = client_->vmanager().AssignVersion(*id, true, 0, 50);
+  auto ticket = client_->vmanager().AssignVersionAsync(*id, true, 0, 50).Wait();
   ASSERT_TRUE(ticket.ok());
   ASSERT_TRUE(client_->Abort(*id, ticket->version).ok());
   // The pipeline is clean: next update reuses the version number.
@@ -60,7 +60,8 @@ TEST_F(FailureTest, AbortWithSuccessorRepairsAsZeroFill) {
 
   // Crashed writer gets v2 (a write over [64, 192)), then a healthy append
   // is assigned v3 and completes. v3 cannot publish until v2 resolves.
-  auto dead = client_->vmanager().AssignVersion(*id, false, 64, 128);
+  auto dead =
+      client_->vmanager().AssignVersionAsync(*id, false, 64, 128).Wait();
   ASSERT_TRUE(dead.ok());
   ASSERT_EQ(dead->version, 2u);
   std::string tail = TestPayload(5, 64);
@@ -93,7 +94,8 @@ TEST_F(FailureTest, RepairedUnalignedAbortKeepsNeighbours) {
   ASSERT_TRUE(blob.AppendSync(base).ok());
 
   // Crashed unaligned write [10, 25) + healthy successor.
-  ASSERT_TRUE(client_->vmanager().AssignVersion(*id, false, 10, 15).ok());
+  ASSERT_TRUE(
+      client_->vmanager().AssignVersionAsync(*id, false, 10, 15).Wait().ok());
   auto v3 = client_->Append(*id, Slice(TestPayload(7, 30)));
   ASSERT_TRUE(v3.ok());
   ASSERT_TRUE(client_->Abort(*id, 2).ok());

@@ -141,12 +141,14 @@ TEST_F(DhtClientTest, PutGetAcrossNodes) {
   DhtClient client(&net_, addresses_);
   for (int i = 0; i < 200; i++) {
     std::string k = "key" + std::to_string(i);
-    ASSERT_TRUE(client.Put(Slice(k), Slice("value" + std::to_string(i))).ok());
+    ASSERT_TRUE(client.PutAsync(Slice(k), Slice("value" + std::to_string(i)))
+                    .Wait()
+                    .ok());
   }
   for (int i = 0; i < 200; i++) {
-    std::string v;
-    ASSERT_TRUE(client.Get(Slice("key" + std::to_string(i)), &v).ok());
-    EXPECT_EQ(v, "value" + std::to_string(i));
+    auto v = client.GetAsync(Slice("key" + std::to_string(i))).Wait();
+    ASSERT_TRUE(v.ok());
+    EXPECT_EQ(*v, "value" + std::to_string(i));
   }
   // Keys actually spread across nodes.
   int populated = 0;
@@ -158,8 +160,7 @@ TEST_F(DhtClientTest, PutGetAcrossNodes) {
 
 TEST_F(DhtClientTest, MissingKeyIsNotFound) {
   DhtClient client(&net_, addresses_);
-  std::string v;
-  EXPECT_TRUE(client.Get(Slice("nope"), &v).IsNotFound());
+  EXPECT_TRUE(client.GetAsync(Slice("nope")).Wait().status().IsNotFound());
 }
 
 TEST_F(DhtClientTest, ReplicationSurvivesPrimaryLoss) {
@@ -169,14 +170,15 @@ TEST_F(DhtClientTest, ReplicationSurvivesPrimaryLoss) {
   std::vector<std::string> keys;
   for (int i = 0; i < 100; i++) {
     keys.push_back("rk" + std::to_string(i));
-    ASSERT_TRUE(client.Put(Slice(keys.back()), Slice("v")).ok());
+    ASSERT_TRUE(client.PutAsync(Slice(keys.back()), Slice("v")).Wait().ok());
   }
-  // Kill one node: every key must remain readable via its replica.
+  // Kill one node: every key must remain readable via its replica (the
+  // GetAsync fallback across replicas in placement order).
   ASSERT_TRUE(net_.StopServing(addresses_[1]).ok());
   for (const auto& k : keys) {
-    std::string v;
-    ASSERT_TRUE(client.Get(Slice(k), &v).ok()) << "lost key " << k;
-    EXPECT_EQ(v, "v");
+    auto v = client.GetAsync(Slice(k)).Wait();
+    ASSERT_TRUE(v.ok()) << "lost key " << k;
+    EXPECT_EQ(*v, "v");
   }
 }
 
@@ -189,22 +191,23 @@ TEST_F(DhtClientTest, WithoutReplicationLossIsVisible) {
     if (placement.NodeFor(Slice(k)) == 2) victim_key = k;
   }
   ASSERT_FALSE(victim_key.empty());
-  ASSERT_TRUE(client.Put(Slice(victim_key), Slice("v")).ok());
+  ASSERT_TRUE(client.PutAsync(Slice(victim_key), Slice("v")).Wait().ok());
   ASSERT_TRUE(net_.StopServing(addresses_[2]).ok());
-  std::string v;
-  EXPECT_FALSE(client.Get(Slice(victim_key), &v).ok());
+  EXPECT_FALSE(client.GetAsync(Slice(victim_key)).Wait().ok());
 }
 
 TEST_F(DhtClientTest, TotalStatsAggregates) {
   DhtClient client(&net_, addresses_);
   for (int i = 0; i < 50; i++) {
     ASSERT_TRUE(
-        client.Put(Slice("sk" + std::to_string(i)), Slice("0123456789")).ok());
+        client.PutAsync(Slice("sk" + std::to_string(i)), Slice("0123456789"))
+            .Wait()
+            .ok());
   }
-  uint64_t keys, bytes;
-  ASSERT_TRUE(client.TotalStats(&keys, &bytes).ok());
-  EXPECT_EQ(keys, 50u);
-  EXPECT_GT(bytes, 500u);
+  auto st = client.TotalStatsAsync().Wait();
+  ASSERT_TRUE(st.ok());
+  EXPECT_EQ(st->keys, 50u);
+  EXPECT_GT(st->bytes, 500u);
 }
 
 }  // namespace

@@ -64,8 +64,9 @@ TEST(LifecycleChurnTest, ReadersNeverSeeGarbageWhileGcSweeps) {
     Blob blob(client.get(), *id);
     vmanager::VersionManagerClient vm(&cluster.transport(),
                                       cluster.vm_address());
-    ASSERT_TRUE(
-        vm.SetRetention(*id, lifecycle::RetentionPolicy{kKeep, 0}).ok());
+    ASSERT_TRUE(vm.SetRetentionAsync(*id, lifecycle::RetentionPolicy{kKeep, 0})
+                    .Wait(&cluster.executor())
+                    .ok());
 
     // contents[v] is the exact body snapshot v must read back as.
     std::vector<std::string> contents(kVersions + 1);

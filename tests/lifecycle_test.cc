@@ -124,18 +124,19 @@ TEST_F(LifecycleRpcTest, RetentionRoundTrip) {
   ASSERT_TRUE(id.ok());
 
   // Fresh blobs carry the disabled policy.
-  auto got = vm_->GetRetention(*id);
+  auto got = vm_->GetRetentionAsync(*id).Wait();
   ASSERT_TRUE(got.ok());
   EXPECT_FALSE(got->enabled());
 
   RetentionPolicy policy{/*keep_last_k=*/4, /*keep_younger_than_us=*/5000};
-  ASSERT_TRUE(vm_->SetRetention(*id, policy).ok());
-  got = vm_->GetRetention(*id);
+  ASSERT_TRUE(vm_->SetRetentionAsync(*id, policy).Wait().ok());
+  got = vm_->GetRetentionAsync(*id).Wait();
   ASSERT_TRUE(got.ok());
   EXPECT_EQ(*got, policy);
 
-  EXPECT_TRUE(vm_->SetRetention(12345, policy).IsNotFound());
-  EXPECT_TRUE(vm_->GetRetention(12345).status().IsNotFound());
+  EXPECT_TRUE(
+      vm_->SetRetentionAsync(12345, policy).Wait().status().IsNotFound());
+  EXPECT_TRUE(vm_->GetRetentionAsync(12345).Wait().status().IsNotFound());
 }
 
 TEST_F(LifecycleRpcTest, ListVersionsReportsLifecycleFacts) {
@@ -146,7 +147,7 @@ TEST_F(LifecycleRpcTest, ListVersionsReportsLifecycleFacts) {
     ASSERT_TRUE(blob.AppendSync(TestPayload(i, 4096)).ok());
   }
 
-  auto versions = vm_->ListVersions(*id);
+  auto versions = vm_->ListVersionsAsync(*id).Wait();
   ASSERT_TRUE(versions.ok());
   ASSERT_EQ(versions->size(), 3u);
   for (size_t i = 0; i < versions->size(); i++) {
@@ -159,7 +160,7 @@ TEST_F(LifecycleRpcTest, ListVersionsReportsLifecycleFacts) {
     EXPECT_EQ(info.pinned, i + 1 == versions->size()) << "v" << i + 1;
   }
 
-  auto blobs = vm_->ListBlobs();
+  auto blobs = vm_->ListBlobsAsync().Wait();
   ASSERT_TRUE(blobs.ok());
   ASSERT_EQ(blobs->size(), 1u);
   EXPECT_EQ((*blobs)[0], *id);
@@ -174,16 +175,18 @@ TEST_F(LifecycleRpcTest, DiscardRules) {
   }
 
   // The latest published snapshot is pinned; version 0 is never owned.
-  EXPECT_TRUE(vm_->DiscardVersion(*id, 3).IsFailedPrecondition());
-  EXPECT_TRUE(vm_->DiscardVersion(*id, 0).IsFailedPrecondition());
-  EXPECT_TRUE(vm_->DiscardVersion(*id, 99).IsNotFound());
+  EXPECT_TRUE(
+      vm_->DiscardVersionAsync(*id, 3).Wait().status().IsFailedPrecondition());
+  EXPECT_TRUE(
+      vm_->DiscardVersionAsync(*id, 0).Wait().status().IsFailedPrecondition());
+  EXPECT_TRUE(vm_->DiscardVersionAsync(*id, 99).Wait().status().IsNotFound());
 
-  ASSERT_TRUE(vm_->DiscardVersion(*id, 1).ok());
-  EXPECT_TRUE(vm_->DiscardVersion(*id, 1).ok());  // idempotent
+  ASSERT_TRUE(vm_->DiscardVersionAsync(*id, 1).Wait().ok());
+  EXPECT_TRUE(vm_->DiscardVersionAsync(*id, 1).Wait().ok());  // idempotent
 
   // Discarded snapshots stop being readable immediately (before any GC
   // pass): size queries and reads observe NotFound.
-  EXPECT_TRUE(vm_->GetSize(*id, 1).status().IsNotFound());
+  EXPECT_TRUE(vm_->GetSizeAsync(*id, 1).Wait().status().IsNotFound());
   std::string out;
   EXPECT_TRUE(blob.Read(1, 0, 4096, &out).IsNotFound());
   // v2 still reads the pages v1 appended: discard hides the snapshot, the
@@ -191,11 +194,11 @@ TEST_F(LifecycleRpcTest, DiscardRules) {
   ASSERT_TRUE(blob.Read(2, 0, 4096, &out).ok());
   EXPECT_EQ(out, TestPayload(0, 4096));
 
-  auto st = vm_->GetStats();
+  auto st = vm_->GetStatsAsync().Wait();
   ASSERT_TRUE(st.ok());
   EXPECT_EQ(st->discarded, 1u);
 
-  auto versions = vm_->ListVersions(*id);
+  auto versions = vm_->ListVersionsAsync(*id).Wait();
   ASSERT_TRUE(versions.ok());
   EXPECT_TRUE((*versions)[0].discarded);
   EXPECT_FALSE((*versions)[1].discarded);
@@ -211,8 +214,9 @@ TEST_F(LifecycleRpcTest, BranchPointIsPinnedAgainstDiscard) {
   auto branch = blob.Branch(2);
   ASSERT_TRUE(branch.ok());
 
-  EXPECT_TRUE(vm_->DiscardVersion(*id, 2).IsFailedPrecondition());
-  ASSERT_TRUE(vm_->DiscardVersion(*id, 1).ok());
+  EXPECT_TRUE(
+      vm_->DiscardVersionAsync(*id, 2).Wait().status().IsFailedPrecondition());
+  ASSERT_TRUE(vm_->DiscardVersionAsync(*id, 1).Wait().ok());
 
   // The child blob reads its inherited history through the branch point.
   std::string out;
@@ -282,8 +286,9 @@ TEST_F(LifecycleGcTest, RetentionDrivenSweepReclaimsOverwrittenVersions) {
   }
   EXPECT_EQ(ProviderPages(), kVersions * kPagesPerVersion);
 
-  ASSERT_TRUE(
-      vm_->SetRetention(*id, RetentionPolicy{/*keep_last_k=*/2, 0}).ok());
+  ASSERT_TRUE(vm_->SetRetentionAsync(*id, RetentionPolicy{/*keep_last_k=*/2, 0})
+                  .Wait()
+                  .ok());
   lifecycle::GcSweeper* gc = HostSweeper(cluster_.get());
   ASSERT_TRUE(gc->RunOnePass(RealClock::Default()->NowMicros()).ok());
 
@@ -323,8 +328,9 @@ TEST_F(LifecycleGcTest, SweepBudgetTruncatesButConverges) {
   for (size_t i = 0; i < 6; i++) {
     ASSERT_TRUE(blob.WriteSync(TestPayload(i, 4 * kPage), 0).ok());
   }
-  ASSERT_TRUE(
-      vm_->SetRetention(*id, RetentionPolicy{/*keep_last_k=*/1, 0}).ok());
+  ASSERT_TRUE(vm_->SetRetentionAsync(*id, RetentionPolicy{/*keep_last_k=*/1, 0})
+                  .Wait()
+                  .ok());
 
   // A budget of 3 pages per pass needs several passes for 20 garbage pages.
   lifecycle::GcSweeper* gc = HostSweeper(cluster_.get(), /*max_sweep=*/3);
@@ -356,8 +362,9 @@ TEST_F(LifecycleGcTest, AppendOnlyHistorySharesPagesWithLiveVersions) {
 
   // Expire all but the newest version. Appended pages are shared with the
   // surviving snapshot, so the mark phase must keep every one of them.
-  ASSERT_TRUE(
-      vm_->SetRetention(*id, RetentionPolicy{/*keep_last_k=*/1, 0}).ok());
+  ASSERT_TRUE(vm_->SetRetentionAsync(*id, RetentionPolicy{/*keep_last_k=*/1, 0})
+                  .Wait()
+                  .ok());
   lifecycle::GcSweeper* gc = HostSweeper(cluster_.get());
   ASSERT_TRUE(gc->RunOnePass(RealClock::Default()->NowMicros()).ok());
 
@@ -457,8 +464,9 @@ TEST_F(LifecycleGcTest, SharedPageSurvivesUntilLastReferenceDiscarded) {
 
   // Expire only blob A's v1: the shared pages stay — blob B's v1 still
   // references them, and the mark phase walks every blob.
-  ASSERT_TRUE(
-      vm_->SetRetention(*a, RetentionPolicy{/*keep_last_k=*/1, 0}).ok());
+  ASSERT_TRUE(vm_->SetRetentionAsync(*a, RetentionPolicy{/*keep_last_k=*/1, 0})
+                  .Wait()
+                  .ok());
   ASSERT_TRUE(gc->RunOnePass(RealClock::Default()->NowMicros()).ok());
   EXPECT_EQ(ProviderPages(), 12u);
   EXPECT_EQ(gc->GetStats().pages_swept, 0u);
@@ -468,8 +476,9 @@ TEST_F(LifecycleGcTest, SharedPageSurvivesUntilLastReferenceDiscarded) {
 
   // Expire blob B's v1 too: the last reference is gone, the shared pages
   // and their 'H' hash links are reclaimed.
-  ASSERT_TRUE(
-      vm_->SetRetention(*b, RetentionPolicy{/*keep_last_k=*/1, 0}).ok());
+  ASSERT_TRUE(vm_->SetRetentionAsync(*b, RetentionPolicy{/*keep_last_k=*/1, 0})
+                  .Wait()
+                  .ok());
   ASSERT_TRUE(gc->RunOnePass(RealClock::Default()->NowMicros()).ok());
   EXPECT_EQ(ProviderPages(), 8u);
   auto stats = gc->GetStats();
@@ -495,14 +504,15 @@ TEST_F(LifecycleGcTest, PmStatsReportGcCounters) {
   for (size_t i = 0; i < 4; i++) {
     ASSERT_TRUE(blob.WriteSync(TestPayload(i, 2 * kPage), 0).ok());
   }
-  ASSERT_TRUE(
-      vm_->SetRetention(*id, RetentionPolicy{/*keep_last_k=*/1, 0}).ok());
+  ASSERT_TRUE(vm_->SetRetentionAsync(*id, RetentionPolicy{/*keep_last_k=*/1, 0})
+                  .Wait()
+                  .ok());
   lifecycle::GcSweeper* gc = HostSweeper(cluster_.get());
   ASSERT_TRUE(gc->RunOnePass(RealClock::Default()->NowMicros()).ok());
 
   pmanager::ProviderManagerClient pm(cluster_->transport(),
                                      cluster_->pmanager_address());
-  auto st = pm.FetchStats();
+  auto st = pm.FetchStatsAsync().Wait();
   ASSERT_TRUE(st.ok());
   EXPECT_EQ(st->gc_passes, 1u);
   EXPECT_EQ(st->gc_versions_discarded, 3u);

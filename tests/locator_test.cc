@@ -1,11 +1,13 @@
 // Locator subsystem tests: location-entry wire format, DHT compare-and-swap
-// (store and client), the client-side LocationIndex (cache, publish, seed,
-// CAS), the provider manager's page-location table, and direct
+// (store and client), the client-side LocationIndex (cache, publish, CAS,
+// concurrent refcount adjustment), the provider manager's page-location
+// table, and direct
 // Rebuilder::RunOnePass scenarios — heal, drain, rebalance, CAS conflict,
 // deleted-entry cleanup and the per-pass move budget.
 #include <gtest/gtest.h>
 
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "dht/client.h"
@@ -134,41 +136,33 @@ class DhtCasTest : public ::testing::Test {
 
 TEST_F(DhtCasTest, CreateThenConditionalChain) {
   dht::DhtClient client(&net_, addresses_);
-  bool applied = false;
-  std::string current;
-  ASSERT_TRUE(
-      client.Cas(Slice("k"), Slice(), Slice("a"), true, &applied, &current)
-          .ok());
-  EXPECT_TRUE(applied);
-  ASSERT_TRUE(
-      client.Cas(Slice("k"), Slice("a"), Slice("b"), false, &applied, &current)
-          .ok());
-  EXPECT_TRUE(applied);
+  auto r = client.CasAsync(Slice("k"), Slice(), Slice("a"), true).Wait();
+  ASSERT_TRUE(r.ok());
+  EXPECT_TRUE(r->applied);
+  r = client.CasAsync(Slice("k"), Slice("a"), Slice("b"), false).Wait();
+  ASSERT_TRUE(r.ok());
+  EXPECT_TRUE(r->applied);
   // Stale expectation after the chain advanced.
-  ASSERT_TRUE(
-      client.Cas(Slice("k"), Slice("a"), Slice("c"), false, &applied, &current)
-          .ok());
-  EXPECT_FALSE(applied);
-  EXPECT_EQ(current, "b");
-  std::string v;
-  ASSERT_TRUE(client.Get(Slice("k"), &v).ok());
-  EXPECT_EQ(v, "b");
+  r = client.CasAsync(Slice("k"), Slice("a"), Slice("c"), false).Wait();
+  ASSERT_TRUE(r.ok());
+  EXPECT_FALSE(r->applied);
+  EXPECT_EQ(r->current, "b");
+  auto v = client.GetAsync(Slice("k")).Wait();
+  ASSERT_TRUE(v.ok());
+  EXPECT_EQ(*v, "b");
 }
 
 TEST_F(DhtCasTest, AppliedCasPropagatesToReplicas) {
   dht::DhtClientOptions opts;
   opts.replication = 2;
   dht::DhtClient client(&net_, addresses_, opts);
-  bool applied = false;
-  std::string current;
-  ASSERT_TRUE(
-      client.Cas(Slice("rk"), Slice(), Slice("v"), true, &applied, &current)
-          .ok());
-  ASSERT_TRUE(applied);
+  auto r = client.CasAsync(Slice("rk"), Slice(), Slice("v"), true).Wait();
+  ASSERT_TRUE(r.ok());
+  ASSERT_TRUE(r->applied);
   // The winning value lands on both placement replicas.
-  uint64_t keys = 0, bytes = 0;
-  ASSERT_TRUE(client.TotalStats(&keys, &bytes).ok());
-  EXPECT_EQ(keys, 2u);
+  auto st = client.TotalStatsAsync().Wait();
+  ASSERT_TRUE(st.ok());
+  EXPECT_EQ(st->keys, 2u);
 }
 
 // --- LocationIndex ---------------------------------------------------------
@@ -183,11 +177,17 @@ class LocationIndexTest : public DhtCasTest {
   std::unique_ptr<dht::DhtClient> dht_;
 };
 
+/// `e` with its replica set replaced, as the rebuilder moves a page.
+LocationEntry Moved(LocationEntry e, std::vector<ProviderId> providers) {
+  e.providers = std::move(providers);
+  return e;
+}
+
 TEST_F(LocationIndexTest, PublishResolvesFromCacheThenFromDht) {
   LocationIndex index(dht_.get(), 8);
   PageId pid{1, 1};
-  ASSERT_TRUE(index.Publish(pid, {2, 4}).ok());
-  auto e = index.Resolve(pid);
+  ASSERT_TRUE(index.PublishAsync(pid, {2, 4}).Wait().ok());
+  auto e = index.ResolveAsync(pid).Wait();
   ASSERT_TRUE(e.ok());
   EXPECT_EQ(e->epoch, 1u);
   EXPECT_EQ(e->providers, (std::vector<ProviderId>{2, 4}));
@@ -196,7 +196,7 @@ TEST_F(LocationIndexTest, PublishResolvesFromCacheThenFromDht) {
   EXPECT_EQ(st.misses, 0u);
   // Invalidate: the next resolve misses the cache but refetches the entry.
   index.Invalidate(pid);
-  e = index.Resolve(pid);
+  e = index.ResolveAsync(pid).Wait();
   ASSERT_TRUE(e.ok());
   EXPECT_EQ(e->providers, (std::vector<ProviderId>{2, 4}));
   st = index.GetStats();
@@ -206,50 +206,64 @@ TEST_F(LocationIndexTest, PublishResolvesFromCacheThenFromDht) {
 
 TEST_F(LocationIndexTest, UnknownPageIsNotFound) {
   LocationIndex index(dht_.get(), 8);
-  EXPECT_TRUE(index.Resolve(PageId{9, 9}).status().IsNotFound());
-}
-
-TEST_F(LocationIndexTest, SeedCreatesOnlyWhenAbsent) {
-  LocationIndex a(dht_.get(), 8);
-  LocationIndex b(dht_.get(), 8);
-  PageId pid{2, 1};
-  auto seeded = a.Seed(pid, {1, 3});
-  ASSERT_TRUE(seeded.ok());
-  EXPECT_EQ(seeded->epoch, 1u);
-  EXPECT_EQ(seeded->providers, (std::vector<ProviderId>{1, 3}));
-  EXPECT_EQ(a.GetStats().seeds, 1u);
-  // A second reader seeding from stale legacy metadata adopts the stored
-  // entry instead of overwriting it.
-  auto lost = b.Seed(pid, {7, 8});
-  ASSERT_TRUE(lost.ok());
-  EXPECT_EQ(lost->providers, (std::vector<ProviderId>{1, 3}));
-  EXPECT_EQ(b.GetStats().seeds, 0u);
+  EXPECT_TRUE(index.ResolveAsync(PageId{9, 9}).Wait().status().IsNotFound());
 }
 
 TEST_F(LocationIndexTest, CompareAndSwapBumpsEpochAndDetectsConflict) {
   LocationIndex index(dht_.get(), 8);
   PageId pid{3, 1};
-  ASSERT_TRUE(index.Publish(pid, {0, 1}).ok());
+  ASSERT_TRUE(index.PublishAsync(pid, {0, 1}).Wait().ok());
   LocationEntry e1{1, {0, 1}};
-  auto e2 = index.CompareAndSwap(pid, e1, {0, 2});
+  auto e2 = index.CompareAndSwapEntryAsync(pid, e1, Moved(e1, {0, 2})).Wait();
   ASSERT_TRUE(e2.ok());
   EXPECT_EQ(e2->epoch, 2u);
   EXPECT_EQ(e2->providers, (std::vector<ProviderId>{0, 2}));
   // Stale expectation: a concurrent relocation already won.
-  EXPECT_TRUE(index.CompareAndSwap(pid, e1, {0, 3}).status().IsAborted());
+  EXPECT_TRUE(index.CompareAndSwapEntryAsync(pid, e1, Moved(e1, {0, 3}))
+                  .Wait()
+                  .status()
+                  .IsAborted());
   // Entry deleted underneath: NotFound, distinct from the conflict case.
-  ASSERT_TRUE(dht_->Delete(Slice(LocationKey(pid))).ok());
+  ASSERT_TRUE(dht_->DeleteAsync(Slice(LocationKey(pid))).Wait().ok());
   index.Invalidate(pid);
-  EXPECT_TRUE(index.CompareAndSwap(pid, *e2, {0, 3}).status().IsNotFound());
+  EXPECT_TRUE(index.CompareAndSwapEntryAsync(pid, *e2, Moved(*e2, {0, 3}))
+                  .Wait()
+                  .status()
+                  .IsNotFound());
+}
+
+TEST_F(LocationIndexTest, ConcurrentAdjustRefsAllLand) {
+  // N adopters bump one page's refcount at once, each through its own
+  // index (as separate clients would). Every lost CAS means another bump
+  // won, so N-1 retries are enough for every call to land exactly once.
+  constexpr int kAdopters = 8;
+  PageId pid{5, 1};
+  LocationIndex publisher(dht_.get(), 0);
+  ASSERT_TRUE(publisher.PublishAsync(pid, {0, 1}).Wait().ok());
+  std::vector<Status> results(kAdopters);
+  std::vector<std::thread> threads;
+  for (int i = 0; i < kAdopters; i++) {
+    threads.emplace_back([&, i] {
+      LocationIndex index(dht_.get(), 8);
+      results[i] =
+          index.AdjustRefsAsync(pid, +1, kAdopters - 1).Wait().status();
+    });
+  }
+  for (auto& t : threads) t.join();
+  for (const Status& s : results) EXPECT_TRUE(s.ok()) << s.ToString();
+  auto e = publisher.ResolveAsync(pid).Wait();
+  ASSERT_TRUE(e.ok());
+  EXPECT_EQ(e->refs, uint32_t{kAdopters + 1});
+  EXPECT_EQ(e->epoch, uint64_t{kAdopters + 1});
 }
 
 TEST_F(LocationIndexTest, CacheEvictsAtCapacityButDhtStillServes) {
   LocationIndex index(dht_.get(), 2);
   for (uint64_t i = 1; i <= 3; i++) {
-    ASSERT_TRUE(index.Publish(PageId{4, i}, {0}).ok());
+    ASSERT_TRUE(index.PublishAsync(PageId{4, i}, {0}).Wait().ok());
   }
   // The oldest entry was evicted: resolving it misses but refetches.
-  auto e = index.Resolve(PageId{4, 1});
+  auto e = index.ResolveAsync(PageId{4, 1}).Wait();
   ASSERT_TRUE(e.ok());
   EXPECT_GE(index.GetStats().misses, 1u);
 }
@@ -333,9 +347,11 @@ class RebuilderTest : public ::testing::Test {
                    const std::string& bytes) {
     for (ProviderId m : members) {
       ASSERT_TRUE(
-          pages_->WritePage(provider_addresses_[m], pid, Slice(bytes)).ok());
+          pages_->WritePageAsync(provider_addresses_[m], pid, Slice(bytes))
+              .Wait()
+              .ok());
     }
-    ASSERT_TRUE(index_->Publish(pid, members).ok());
+    ASSERT_TRUE(index_->PublishAsync(pid, members).Wait().ok());
     table_.Record(pid, LocationEntry{1, members});
   }
 
@@ -373,14 +389,13 @@ TEST_F(RebuilderTest, HealsDeadMemberOntoDifferentLiveProvider) {
   ASSERT_TRUE(table_.Lookup(pid, &e));
   EXPECT_EQ(e.epoch, 2u);
   EXPECT_EQ(e.providers, (std::vector<ProviderId>{0, 2}));
-  auto stored = index_->Resolve(pid);
+  auto stored = index_->ResolveAsync(pid).Wait();
   ASSERT_TRUE(stored.ok());
   EXPECT_EQ(*stored, e);
   // And the bytes were actually copied there.
-  std::string out;
-  ASSERT_TRUE(
-      pages_->ReadPage(provider_addresses_[2], pid, 0, 0, &out).ok());
-  EXPECT_EQ(out, "payload");
+  auto out = pages_->ReadPageAsync(provider_addresses_[2], pid, 0, 0).Wait();
+  ASSERT_TRUE(out.ok());
+  EXPECT_EQ(*out, "payload");
   // A second pass finds nothing to do.
   EXPECT_EQ(r.RunOnePass(), 0u);
 }
@@ -397,12 +412,13 @@ TEST_F(RebuilderTest, DrainMovesPageOffAndDeletesVacatedCopy) {
   ASSERT_TRUE(table_.Lookup(pid, &e));
   EXPECT_EQ(e.epoch, 2u);
   EXPECT_EQ(e.providers, (std::vector<ProviderId>{1}));
-  std::string out;
-  ASSERT_TRUE(
-      pages_->ReadPage(provider_addresses_[1], pid, 0, 0, &out).ok());
-  EXPECT_EQ(out, "drainme");
+  auto out = pages_->ReadPageAsync(provider_addresses_[1], pid, 0, 0).Wait();
+  ASSERT_TRUE(out.ok());
+  EXPECT_EQ(*out, "drainme");
   // The draining provider is still up, so its vacated copy was deleted.
-  EXPECT_TRUE(pages_->ReadPage(provider_addresses_[0], pid, 0, 0, &out)
+  EXPECT_TRUE(pages_->ReadPageAsync(provider_addresses_[0], pid, 0, 0)
+                  .Wait()
+                  .status()
                   .IsNotFound());
   EXPECT_EQ(table_.CountOn(0), 0u);
 }
@@ -438,10 +454,13 @@ TEST_F(RebuilderTest, StaleTableEntryLosesCasAndAdoptsFreshEntry) {
   PageId pid{5, 1};
   InstallPage(pid, {0, 1}, "cas");
   LocationEntry healed = {1, {0, 1}};
-  auto installed = index_->CompareAndSwap(pid, healed, {0, 2});
+  auto installed =
+      index_->CompareAndSwapEntryAsync(pid, healed, Moved(healed, {0, 2}))
+          .Wait();
   ASSERT_TRUE(installed.ok());
-  ASSERT_TRUE(
-      pages_->WritePage(provider_addresses_[2], pid, Slice("cas")).ok());
+  ASSERT_TRUE(pages_->WritePageAsync(provider_addresses_[2], pid, Slice("cas"))
+                  .Wait()
+                  .ok());
   table_.Record(pid, LocationEntry{1, {0, 1}});  // stale: pre-heal view
   MarkDead(1);
 
@@ -476,7 +495,7 @@ TEST_F(RebuilderTest, DeletedEntryIsForgotten) {
   // was garbage-collected): the pass must drop it, not resurrect it.
   PageId pid{7, 1};
   InstallPage(pid, {0, 1}, "gone");
-  ASSERT_TRUE(dht_->Delete(Slice(LocationKey(pid))).ok());
+  ASSERT_TRUE(dht_->DeleteAsync(Slice(LocationKey(pid))).Wait().ok());
   MarkDead(1);
   Rebuilder r = NewRebuilder();
   EXPECT_EQ(r.RunOnePass(), 0u);

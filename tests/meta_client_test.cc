@@ -1,6 +1,7 @@
 // MetaClient unit tests: node round trips, the immutable-node cache,
 // tree walks over hand-built trees, border descent edge cases, and the
-// per-operation memo.
+// per-operation memo. Every call goes through the async methods BlobClient
+// runs, waited on from the test thread.
 #include <gtest/gtest.h>
 
 #include "dht/client.h"
@@ -28,19 +29,33 @@ class MetaClientTest : public ::testing::Test {
     MetaClientOptions opts;
     opts.cache_enabled = cache;
     opts.cache_capacity = capacity;
-    return MetaClient(dht_.get(), &executor_, opts);
+    return MetaClient(dht_.get(), opts);
+  }
+
+  static Status Put(MetaClient* mc, const NodeKey& key, const MetaNode& node) {
+    return mc->PutNodeAsync(key, node).Wait().status();
+  }
+
+  // Border descent without a memo; every tree here has psize 1.
+  static Result<Version> Resolve(MetaClient* mc, const BranchAncestry& anc,
+                                 Version published, uint64_t size,
+                                 const Extent& block) {
+    return mc
+        ->ResolveBlockVersionAsync(anc, published, size, /*psize=*/1, block,
+                                   nullptr)
+        .Wait();
   }
 
   // Writes the 4-page tree of paper Figure 1(a): version 1, psize 1.
   void WriteFigure1aTree(MetaClient* mc) {
-    ASSERT_TRUE(mc->PutNode(NodeKey{1, 1, {0, 4}}, MetaNode::Inner(1, 1)).ok());
-    ASSERT_TRUE(mc->PutNode(NodeKey{1, 1, {0, 2}}, MetaNode::Inner(1, 1)).ok());
-    ASSERT_TRUE(mc->PutNode(NodeKey{1, 1, {2, 2}}, MetaNode::Inner(1, 1)).ok());
+    ASSERT_TRUE(Put(mc, NodeKey{1, 1, {0, 4}}, MetaNode::Inner(1, 1)).ok());
+    ASSERT_TRUE(Put(mc, NodeKey{1, 1, {0, 2}}, MetaNode::Inner(1, 1)).ok());
+    ASSERT_TRUE(Put(mc, NodeKey{1, 1, {2, 2}}, MetaNode::Inner(1, 1)).ok());
     for (uint64_t p = 0; p < 4; p++) {
       ASSERT_TRUE(
-          mc->PutNode(NodeKey{1, 1, {p, 1}},
-                      MetaNode::Leaf({PageFragment{PageId{1, p + 1}, {0}, 0, 1, 0}},
-                                     kNoVersion, 1))
+          Put(mc, NodeKey{1, 1, {p, 1}},
+              MetaNode::Leaf({PageFragment{PageId{1, p + 1}, 0, 1, 0}},
+                             kNoVersion, 1))
               .ok());
     }
   }
@@ -48,37 +63,39 @@ class MetaClientTest : public ::testing::Test {
   rpc::InProcNetwork net_;
   std::vector<std::string> addresses_;
   std::unique_ptr<dht::DhtClient> dht_;
-  SerialExecutor executor_;
 };
 
 TEST_F(MetaClientTest, PutGetRoundTrip) {
   MetaClient mc = NewClient();
   NodeKey key{7, 3, Extent{64, 64}};
   MetaNode node = MetaNode::Inner(2, kNoVersion);
-  ASSERT_TRUE(mc.PutNode(key, node).ok());
-  auto got = mc.GetNode(key);
+  ASSERT_TRUE(Put(&mc, key, node).ok());
+  auto got = mc.GetNodeAsync(key).Wait();
   ASSERT_TRUE(got.ok());
   EXPECT_EQ(got->left_version, 2u);
   EXPECT_EQ(got->right_version, kNoVersion);
-  EXPECT_TRUE(mc.GetNode(NodeKey{7, 4, Extent{64, 64}}).status().IsNotFound());
+  EXPECT_TRUE(mc.GetNodeAsync(NodeKey{7, 4, Extent{64, 64}})
+                  .Wait()
+                  .status()
+                  .IsNotFound());
 }
 
 TEST_F(MetaClientTest, CacheServesRepeatReadsAndInvalidates) {
   MetaClient mc = NewClient();
   NodeKey key{1, 1, Extent{0, 8}};
-  ASSERT_TRUE(mc.PutNode(key, MetaNode::Inner(1, 1)).ok());
+  ASSERT_TRUE(Put(&mc, key, MetaNode::Inner(1, 1)).ok());
   // PutNode seeds the cache: this read must hit.
-  ASSERT_TRUE(mc.GetNode(key).ok());
+  ASSERT_TRUE(mc.GetNodeAsync(key).Wait().ok());
   MetaCacheStats st = mc.GetCacheStats();
   EXPECT_EQ(st.hits, 1u);
   EXPECT_EQ(st.misses, 0u);
   mc.InvalidateCache();
-  ASSERT_TRUE(mc.GetNode(key).ok());
+  ASSERT_TRUE(mc.GetNodeAsync(key).Wait().ok());
   st = mc.GetCacheStats();
   EXPECT_EQ(st.hits, 1u);
   EXPECT_EQ(st.misses, 1u);
   // And the re-fetch repopulated it.
-  ASSERT_TRUE(mc.GetNode(key).ok());
+  ASSERT_TRUE(mc.GetNodeAsync(key).Wait().ok());
   EXPECT_EQ(mc.GetCacheStats().hits, 2u);
 }
 
@@ -86,20 +103,20 @@ TEST_F(MetaClientTest, CacheEvictsAtCapacity) {
   MetaClient mc = NewClient(true, /*capacity=*/4);
   for (uint64_t i = 0; i < 16; i++) {
     ASSERT_TRUE(
-        mc.PutNode(NodeKey{1, i + 1, Extent{0, 2}}, MetaNode::Inner(1, 1))
+        Put(&mc, NodeKey{1, i + 1, Extent{0, 2}}, MetaNode::Inner(1, 1))
             .ok());
   }
   // Oldest entries evicted: reading version 1 must miss.
-  ASSERT_TRUE(mc.GetNode(NodeKey{1, 1, Extent{0, 2}}).ok());
+  ASSERT_TRUE(mc.GetNodeAsync(NodeKey{1, 1, Extent{0, 2}}).Wait().ok());
   EXPECT_GE(mc.GetCacheStats().misses, 1u);
 }
 
 TEST_F(MetaClientTest, DisabledCacheAlwaysFetches) {
   MetaClient mc = NewClient(false);
   NodeKey key{1, 1, Extent{0, 2}};
-  ASSERT_TRUE(mc.PutNode(key, MetaNode::Inner(1, 1)).ok());
-  ASSERT_TRUE(mc.GetNode(key).ok());
-  ASSERT_TRUE(mc.GetNode(key).ok());
+  ASSERT_TRUE(Put(&mc, key, MetaNode::Inner(1, 1)).ok());
+  ASSERT_TRUE(mc.GetNodeAsync(key).Wait().ok());
+  ASSERT_TRUE(mc.GetNodeAsync(key).Wait().ok());
   MetaCacheStats st = mc.GetCacheStats();
   EXPECT_EQ(st.hits, 0u);
   EXPECT_EQ(st.puts, 0u);
@@ -109,16 +126,27 @@ TEST_F(MetaClientTest, ReadMetaCollectsExactlyTheIntersectingLeaves) {
   MetaClient mc = NewClient();
   WriteFigure1aTree(&mc);
   BranchAncestry anc({{1, kMaxVersion}});
-  std::vector<LeafRef> leaves;
-  ASSERT_TRUE(mc.ReadMeta(anc, 1, 4, 1, Extent{1, 2}, &leaves).ok());
-  ASSERT_EQ(leaves.size(), 2u);
-  EXPECT_EQ(leaves[0].block.offset + leaves[1].block.offset, 1u + 2u);
+  auto leaves = mc.ReadMetaAsync(anc, 1, 4, 1, Extent{1, 2}).Wait();
+  ASSERT_TRUE(leaves.ok());
+  ASSERT_EQ(leaves->size(), 2u);
+  EXPECT_EQ((*leaves)[0].block.offset + (*leaves)[1].block.offset, 1u + 2u);
   // Full range.
-  ASSERT_TRUE(mc.ReadMeta(anc, 1, 4, 1, Extent{0, 4}, &leaves).ok());
-  EXPECT_EQ(leaves.size(), 4u);
+  leaves = mc.ReadMetaAsync(anc, 1, 4, 1, Extent{0, 4}).Wait();
+  ASSERT_TRUE(leaves.ok());
+  EXPECT_EQ(leaves->size(), 4u);
+  // Empty range: no fetch, no leaves.
+  leaves = mc.ReadMetaAsync(anc, 1, 4, 1, Extent{1, 0}).Wait();
+  ASSERT_TRUE(leaves.ok());
+  EXPECT_TRUE(leaves->empty());
   // Out-of-range read rejected before any fetch.
-  EXPECT_TRUE(mc.ReadMeta(anc, 1, 4, 1, Extent{2, 3}, &leaves).IsOutOfRange());
-  EXPECT_TRUE(mc.ReadMeta(anc, 0, 0, 1, Extent{0, 1}, &leaves).IsOutOfRange());
+  EXPECT_TRUE(mc.ReadMetaAsync(anc, 1, 4, 1, Extent{2, 3})
+                  .Wait()
+                  .status()
+                  .IsOutOfRange());
+  EXPECT_TRUE(mc.ReadMetaAsync(anc, 0, 0, 1, Extent{0, 1})
+                  .Wait()
+                  .status()
+                  .IsOutOfRange());
 }
 
 TEST_F(MetaClientTest, ReadMetaDetectsHolesAndTypeMismatches) {
@@ -127,34 +155,39 @@ TEST_F(MetaClientTest, ReadMetaDetectsHolesAndTypeMismatches) {
   // Root whose right child is a hole, but blob_size says 4 pages: reading
   // the right half must report corruption.
   ASSERT_TRUE(
-      mc.PutNode(NodeKey{1, 1, {0, 4}}, MetaNode::Inner(1, kNoVersion)).ok());
-  ASSERT_TRUE(mc.PutNode(NodeKey{1, 1, {0, 2}}, MetaNode::Inner(1, 1)).ok());
-  std::vector<LeafRef> leaves;
-  EXPECT_TRUE(mc.ReadMeta(anc, 1, 4, 1, Extent{2, 2}, &leaves).IsCorruption());
+      Put(&mc, NodeKey{1, 1, {0, 4}}, MetaNode::Inner(1, kNoVersion)).ok());
+  ASSERT_TRUE(Put(&mc, NodeKey{1, 1, {0, 2}}, MetaNode::Inner(1, 1)).ok());
+  EXPECT_TRUE(mc.ReadMetaAsync(anc, 1, 4, 1, Extent{2, 2})
+                  .Wait()
+                  .status()
+                  .IsCorruption());
   // Inner node stored where a leaf must live.
-  ASSERT_TRUE(mc.PutNode(NodeKey{1, 1, {0, 1}}, MetaNode::Inner(1, 1)).ok());
-  ASSERT_TRUE(mc.PutNode(NodeKey{1, 1, {1, 1}}, MetaNode::Inner(1, 1)).ok());
-  EXPECT_TRUE(mc.ReadMeta(anc, 1, 4, 1, Extent{0, 1}, &leaves).IsCorruption());
+  ASSERT_TRUE(Put(&mc, NodeKey{1, 1, {0, 1}}, MetaNode::Inner(1, 1)).ok());
+  ASSERT_TRUE(Put(&mc, NodeKey{1, 1, {1, 1}}, MetaNode::Inner(1, 1)).ok());
+  EXPECT_TRUE(mc.ReadMetaAsync(anc, 1, 4, 1, Extent{0, 1})
+                  .Wait()
+                  .status()
+                  .IsCorruption());
 }
 
 TEST_F(MetaClientTest, ResolveBlockVersionWalksToTheLabel) {
   MetaClient mc = NewClient();
   // Figure 1(b): version 2 overwrote pages 1-2 of the 4-page version 1.
   WriteFigure1aTree(&mc);
-  ASSERT_TRUE(mc.PutNode(NodeKey{1, 2, {0, 4}}, MetaNode::Inner(2, 2)).ok());
-  ASSERT_TRUE(mc.PutNode(NodeKey{1, 2, {0, 2}}, MetaNode::Inner(1, 2)).ok());
-  ASSERT_TRUE(mc.PutNode(NodeKey{1, 2, {2, 2}}, MetaNode::Inner(2, 1)).ok());
+  ASSERT_TRUE(Put(&mc, NodeKey{1, 2, {0, 4}}, MetaNode::Inner(2, 2)).ok());
+  ASSERT_TRUE(Put(&mc, NodeKey{1, 2, {0, 2}}, MetaNode::Inner(1, 2)).ok());
+  ASSERT_TRUE(Put(&mc, NodeKey{1, 2, {2, 2}}, MetaNode::Inner(2, 1)).ok());
 
   BranchAncestry anc({{1, kMaxVersion}});
   // Published root of v2: label of (0,4) is 2; page 0's leaf label is 1
   // (shared with v1), page 1's is 2.
-  auto root = mc.ResolveBlockVersion(anc, 2, 4, 1, Extent{0, 4});
+  auto root = Resolve(&mc, anc, 2, 4, Extent{0, 4});
   ASSERT_TRUE(root.ok());
   EXPECT_EQ(*root, 2u);
-  auto page0 = mc.ResolveBlockVersion(anc, 2, 4, 1, Extent{0, 1});
+  auto page0 = Resolve(&mc, anc, 2, 4, Extent{0, 1});
   ASSERT_TRUE(page0.ok());
   EXPECT_EQ(*page0, 1u);
-  auto mid = mc.ResolveBlockVersion(anc, 2, 4, 1, Extent{2, 2});
+  auto mid = Resolve(&mc, anc, 2, 4, Extent{2, 2});
   ASSERT_TRUE(mid.ok());
   EXPECT_EQ(*mid, 2u);
 }
@@ -164,39 +197,40 @@ TEST_F(MetaClientTest, ResolveBlockVersionEdgeCases) {
   WriteFigure1aTree(&mc);
   BranchAncestry anc({{1, kMaxVersion}});
   // Nothing published: every block is a hole.
-  auto none = mc.ResolveBlockVersion(anc, 0, 0, 1, Extent{0, 1});
+  auto none = Resolve(&mc, anc, 0, 0, Extent{0, 1});
   ASSERT_TRUE(none.ok());
   EXPECT_EQ(*none, kNoVersion);
   // Beyond the published span: hole.
-  auto beyond = mc.ResolveBlockVersion(anc, 1, 4, 1, Extent{4, 2});
+  auto beyond = Resolve(&mc, anc, 1, 4, Extent{4, 2});
   ASSERT_TRUE(beyond.ok());
   EXPECT_EQ(*beyond, kNoVersion);
   // Strictly containing the published root: must come from the version
   // manager, so the client reports Internal.
-  EXPECT_TRUE(mc.ResolveBlockVersion(anc, 1, 4, 1, Extent{0, 8})
-                  .status()
-                  .IsInternal());
+  EXPECT_TRUE(Resolve(&mc, anc, 1, 4, Extent{0, 8}).status().IsInternal());
 }
 
 TEST_F(MetaClientTest, MemoAvoidsRepeatFetchesWithinOneOperation) {
   MetaClient mc = NewClient(/*cache=*/false);
   WriteFigure1aTree(&mc);
   BranchAncestry anc({{1, kMaxVersion}});
-  dht::StoreStats before_total{};
-  uint64_t keys0 = 0, bytes0 = 0;
-  ASSERT_TRUE(dht_->TotalStats(&keys0, &bytes0).ok());
+  auto gets_before = dht_->TotalStatsAsync().Wait();
+  ASSERT_TRUE(gets_before.ok());
 
-  MetaClient::NodeMemo memo;
+  auto memo = std::make_shared<MetaClient::SharedNodeMemo>();
   // Resolving all four leaves shares the root and mid-level fetches.
   for (uint64_t p = 0; p < 4; p++) {
-    auto v = mc.ResolveBlockVersion(anc, 1, 4, 1, Extent{p, 1}, &memo);
+    auto v =
+        mc.ResolveBlockVersionAsync(anc, 1, 4, 1, Extent{p, 1}, memo).Wait();
     ASSERT_TRUE(v.ok());
     EXPECT_EQ(*v, 1u);
   }
   // Distinct nodes on the 4 paths: root + 2 mid nodes = 3 fetches (leaf
-  // labels come from the parents). The memo holds exactly those.
-  EXPECT_EQ(memo.size(), 3u);
-  (void)before_total;
+  // labels come from the parents). The memo holds exactly those, and the
+  // DHT served exactly those.
+  EXPECT_EQ(memo->map.size(), 3u);
+  auto gets_after = dht_->TotalStatsAsync().Wait();
+  ASSERT_TRUE(gets_after.ok());
+  EXPECT_EQ(gets_after->gets - gets_before->gets, 3u);
 }
 
 TEST_F(MetaClientTest, WriteNodesBatchIsAtomicPerNode) {
@@ -204,12 +238,12 @@ TEST_F(MetaClientTest, WriteNodesBatchIsAtomicPerNode) {
   std::vector<std::pair<NodeKey, MetaNode>> nodes;
   for (uint64_t i = 0; i < 50; i++) {
     nodes.emplace_back(NodeKey{9, 1, Extent{i, 1}},
-                       MetaNode::Leaf({PageFragment{PageId{9, i}, {0}, 0, 1, 0}},
+                       MetaNode::Leaf({PageFragment{PageId{9, i}, 0, 1, 0}},
                                       kNoVersion, 1));
   }
-  ASSERT_TRUE(mc.WriteNodes(nodes).ok());
+  ASSERT_TRUE(mc.WriteNodesAsync(nodes).Wait().ok());
   for (uint64_t i = 0; i < 50; i++) {
-    auto got = mc.GetNode(NodeKey{9, 1, Extent{i, 1}});
+    auto got = mc.GetNodeAsync(NodeKey{9, 1, Extent{i, 1}}).Wait();
     ASSERT_TRUE(got.ok());
     EXPECT_EQ(got->fragments[0].pid, (PageId{9, i}));
   }
@@ -219,17 +253,17 @@ TEST_F(MetaClientTest, BranchAncestryRoutesVersionsToOrigins) {
   // Blob 2 branched from blob 1 at version 3: nodes of versions <= 3 are
   // keyed by origin blob 1.
   MetaClient mc = NewClient();
-  ASSERT_TRUE(mc.PutNode(NodeKey{1, 2, {0, 2}}, MetaNode::Inner(2, 2)).ok());
-  ASSERT_TRUE(mc.PutNode(NodeKey{2, 4, {0, 2}}, MetaNode::Inner(4, 2)).ok());
+  ASSERT_TRUE(Put(&mc, NodeKey{1, 2, {0, 2}}, MetaNode::Inner(2, 2)).ok());
+  ASSERT_TRUE(Put(&mc, NodeKey{2, 4, {0, 2}}, MetaNode::Inner(4, 2)).ok());
   BranchAncestry anc({{1, 3}, {2, kMaxVersion}});
   EXPECT_EQ(anc.Resolve(2), 1u);
   EXPECT_EQ(anc.Resolve(3), 1u);
   EXPECT_EQ(anc.Resolve(4), 2u);
   // Descent through the branch point mixes origins transparently.
-  auto label = mc.ResolveBlockVersion(anc, 4, 2, 1, Extent{0, 1});
+  auto label = Resolve(&mc, anc, 4, 2, Extent{0, 1});
   ASSERT_TRUE(label.ok());
   EXPECT_EQ(*label, 4u);
-  auto shared = mc.ResolveBlockVersion(anc, 2, 2, 1, Extent{0, 1});
+  auto shared = Resolve(&mc, anc, 2, 2, Extent{0, 1});
   ASSERT_TRUE(shared.ok());
   EXPECT_EQ(*shared, 2u);
 }

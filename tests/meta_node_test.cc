@@ -1,6 +1,8 @@
 // Metadata node codec and key tests.
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "meta/node.h"
 
 namespace blobseer::meta {
@@ -32,8 +34,8 @@ TEST(MetaNodeTest, InnerRoundTrip) {
 
 TEST(MetaNodeTest, LeafRoundTrip) {
   MetaNode n = MetaNode::Leaf(
-      {PageFragment{PageId{10, 20}, {}, 100, 28, 4},
-       PageFragment{PageId{11, 21}, {}, 0, 100, 0}},
+      {PageFragment{PageId{10, 20}, 100, 28, 4},
+       PageFragment{PageId{11, 21}, 0, 100, 0}},
       7, 3);
   BinaryWriter w;
   n.EncodeTo(&w);
@@ -50,15 +52,49 @@ TEST(MetaNodeTest, LeafRoundTrip) {
 }
 
 TEST(MetaNodeTest, CorruptTypeRejected) {
-  BinaryWriter w;
-  w.PutU8(9);
-  MetaNode n;
-  BinaryReader r{Slice(w.buffer())};
-  EXPECT_TRUE(n.DecodeFrom(&r).IsCorruption());
+  std::vector<BinaryWriter> inputs(5);
+  inputs[0].PutU8(9);  // unknown format marker
+  // v3 marker followed by an unknown node type.
+  inputs[1].PutU8(kNodeFormatV3);
+  inputs[1].PutU8(7);
+  // Format v1 leaf: no marker (byte 0 was the node type) and one provider
+  // id per fragment.
+  inputs[2].PutU8(1);
+  inputs[2].PutU64(7);  // prev_version
+  inputs[2].PutU32(3);  // chain_len
+  inputs[2].PutU32(1);  // fragment count
+  inputs[2].PutPageId(PageId{10, 20});
+  inputs[2].PutU32(6);  // the single provider
+  inputs[2].PutU32(100);
+  inputs[2].PutU32(28);
+  inputs[2].PutU32(4);
+  // Format v1 inner node.
+  inputs[3].PutU8(0);
+  inputs[3].PutU64(5);
+  inputs[3].PutU64(kNoVersion);
+  // Format v2 leaf: marker 2 and an embedded replica set per fragment.
+  inputs[4].PutU8(2);
+  inputs[4].PutU8(1);   // type = leaf
+  inputs[4].PutU64(7);  // prev_version
+  inputs[4].PutU32(3);  // chain_len
+  inputs[4].PutU32(1);  // fragment count
+  inputs[4].PutPageId(PageId{10, 20});
+  inputs[4].PutU8(2);  // replica count
+  inputs[4].PutU32(3);
+  inputs[4].PutU32(5);
+  inputs[4].PutU32(100);
+  inputs[4].PutU32(28);
+  inputs[4].PutU32(4);
+  // Nodes live in the in-memory DHT, so only v3 is ever valid.
+  for (size_t i = 0; i < inputs.size(); i++) {
+    MetaNode n;
+    BinaryReader r{Slice(inputs[i].buffer())};
+    EXPECT_TRUE(n.DecodeFrom(&r).IsCorruption()) << "input " << i;
+  }
 }
 
 TEST(MetaNodeTest, TruncatedLeafRejected) {
-  MetaNode n = MetaNode::Leaf({PageFragment{PageId{1, 1}, {}, 0, 8, 0}},
+  MetaNode n = MetaNode::Leaf({PageFragment{PageId{1, 1}, 0, 8, 0}},
                               kNoVersion, 1);
   BinaryWriter w;
   n.EncodeTo(&w);

@@ -159,50 +159,54 @@ class PmServiceTest : public ::testing::Test {
 };
 
 TEST_F(PmServiceTest, RegisterAssignsStableIds) {
-  auto a = client_->Register("inproc://prov-a", 0);
-  auto b = client_->Register("inproc://prov-b", 0);
+  auto a = client_->RegisterAsync("inproc://prov-a", 0).Wait();
+  auto b = client_->RegisterAsync("inproc://prov-b", 0).Wait();
   ASSERT_TRUE(a.ok() && b.ok());
   EXPECT_EQ(*a, 0u);
   EXPECT_EQ(*b, 1u);
   // Re-registration (provider restart) keeps the id.
-  auto a2 = client_->Register("inproc://prov-a", 0);
+  auto a2 = client_->RegisterAsync("inproc://prov-a", 0).Wait();
   ASSERT_TRUE(a2.ok());
   EXPECT_EQ(*a2, 0u);
 }
 
 TEST_F(PmServiceTest, AllocateWithoutProvidersFails) {
-  EXPECT_TRUE(client_->AllocateReplicated(3, 1).status().IsUnavailable());
+  EXPECT_TRUE(
+      client_->AllocateReplicatedAsync(3, 1).Wait().status().IsUnavailable());
 }
 
 TEST_F(PmServiceTest, AllocateAndResolve) {
-  ASSERT_TRUE(client_->Register("inproc://prov-a", 0).ok());
-  ASSERT_TRUE(client_->Register("inproc://prov-b", 0).ok());
-  auto sets = client_->AllocateReplicated(4, 1);
+  ASSERT_TRUE(client_->RegisterAsync("inproc://prov-a", 0).Wait().ok());
+  ASSERT_TRUE(client_->RegisterAsync("inproc://prov-b", 0).Wait().ok());
+  auto sets = client_->AllocateReplicatedAsync(4, 1).Wait();
   ASSERT_TRUE(sets.ok());
   ASSERT_EQ(sets->size(), 4u);
   for (const auto& set : *sets) {
     ASSERT_EQ(set.size(), 1u);
-    auto addr = client_->ResolveAddress(set[0]);
+    auto addr = client_->ResolveAddressAsync(set[0]).Wait();
     ASSERT_TRUE(addr.ok());
     EXPECT_TRUE(addr->find("inproc://prov-") == 0);
   }
-  EXPECT_TRUE(client_->ResolveAddress(42).status().IsNotFound());
+  EXPECT_TRUE(client_->ResolveAddressAsync(42).Wait().status().IsNotFound());
 }
 
 TEST_F(PmServiceTest, HeartbeatOverridesLoadEstimate) {
-  auto id = client_->Register("inproc://prov-a", 0);
+  auto id = client_->RegisterAsync("inproc://prov-a", 0).Wait();
   ASSERT_TRUE(id.ok());
-  ASSERT_TRUE(client_->AllocateReplicated(10, 1).ok());
-  ASSERT_TRUE(client_->Heartbeat(*id, 3, 4096).ok());
+  ASSERT_TRUE(client_->AllocateReplicatedAsync(10, 1).Wait().ok());
+  ASSERT_TRUE(client_->HeartbeatAsync(*id, 3, 4096).Wait().ok());
   auto recs = svc_->Records();
   ASSERT_EQ(recs.size(), 1u);
   EXPECT_EQ(recs[0].allocated_pages, 3u);
-  EXPECT_TRUE(client_->Heartbeat(99, 0, 0).IsNotFound());
+  EXPECT_TRUE(client_->HeartbeatAsync(99, 0, 0).Wait().status().IsNotFound());
 }
 
 TEST_F(PmServiceTest, ZeroPageAllocationRejected) {
-  ASSERT_TRUE(client_->Register("inproc://prov-a", 0).ok());
-  EXPECT_TRUE(client_->AllocateReplicated(0, 1).status().IsInvalidArgument());
+  ASSERT_TRUE(client_->RegisterAsync("inproc://prov-a", 0).Wait().ok());
+  EXPECT_TRUE(client_->AllocateReplicatedAsync(0, 1)
+                  .Wait()
+                  .status()
+                  .IsInvalidArgument());
 }
 
 }  // namespace

@@ -162,7 +162,8 @@ TEST_P(LivenessPropertyTest, RandomBeatsAndClockAdvancesMatchReference) {
 
   std::vector<uint64_t> last_beat(kProviders);
   for (size_t i = 0; i < kProviders; i++) {
-    auto id = client.Register("inproc://prov-" + std::to_string(i), 0);
+    auto id =
+        client.RegisterAsync("inproc://prov-" + std::to_string(i), 0).Wait();
     ASSERT_TRUE(id.ok());
     ASSERT_EQ(*id, i);
     last_beat[i] = clock.NowMicros();
@@ -182,7 +183,9 @@ TEST_P(LivenessPropertyTest, RandomBeatsAndClockAdvancesMatchReference) {
         break;
       case 1: {  // one provider beats (possibly one already presumed dead)
         size_t i = rng.Uniform(kProviders);
-        ASSERT_TRUE(client.Heartbeat(static_cast<ProviderId>(i), 0, 0).ok());
+        ASSERT_TRUE(client.HeartbeatAsync(static_cast<ProviderId>(i), 0, 0)
+                        .Wait()
+                        .ok());
         last_beat[i] = clock.NowMicros();
         break;
       }
@@ -194,7 +197,7 @@ TEST_P(LivenessPropertyTest, RandomBeatsAndClockAdvancesMatchReference) {
           if (expected(i) != pmanager::Liveness::kDead) nondead++;
         }
         auto sets =
-            client.AllocateReplicated(1 + rng.Uniform(4), r);
+            client.AllocateReplicatedAsync(1 + rng.Uniform(4), r).Wait();
         if (nondead < r) {
           // Not even the suspect fallback can reach r distinct providers.
           EXPECT_TRUE(sets.status().IsUnavailable()) << "op " << op;

@@ -187,16 +187,21 @@ TEST(ProviderServiceTest, EndToEndOverRpc) {
 
   ProviderClient client(&net);
   PageId id{5, 5};
-  ASSERT_TRUE(client.WritePage("inproc://prov", id, Slice("hello page")).ok());
-  std::string out;
-  ASSERT_TRUE(client.ReadPage("inproc://prov", id, 6, 4, &out).ok());
-  EXPECT_EQ(out, "page");
-  uint64_t pages, bytes;
-  ASSERT_TRUE(client.Stats("inproc://prov", &pages, &bytes).ok());
-  EXPECT_EQ(pages, 1u);
-  EXPECT_EQ(bytes, 10u);
-  ASSERT_TRUE(client.DeletePage("inproc://prov", id).ok());
-  EXPECT_TRUE(client.ReadPage("inproc://prov", id, 0, 0, &out).IsNotFound());
+  ASSERT_TRUE(client.WritePageAsync("inproc://prov", id, Slice("hello page"))
+                  .Wait()
+                  .ok());
+  auto out = client.ReadPageAsync("inproc://prov", id, 6, 4).Wait();
+  ASSERT_TRUE(out.ok());
+  EXPECT_EQ(*out, "page");
+  auto st = client.FetchStatsAsync("inproc://prov").Wait();
+  ASSERT_TRUE(st.ok());
+  EXPECT_EQ(st->pages, 1u);
+  EXPECT_EQ(st->bytes, 10u);
+  ASSERT_TRUE(client.DeletePageAsync("inproc://prov", id).Wait().ok());
+  EXPECT_TRUE(client.ReadPageAsync("inproc://prov", id, 0, 0)
+                  .Wait()
+                  .status()
+                  .IsNotFound());
 }
 
 TEST(ProviderServiceTest, ExtendedStatsTravelTheRpc) {
@@ -212,12 +217,17 @@ TEST(ProviderServiceTest, ExtendedStatsTravelTheRpc) {
 
   ProviderClient client(&net);
   ASSERT_TRUE(
-      client.WritePage("inproc://prov", PageId{1, 1}, Slice("abcd")).ok());
+      client.WritePageAsync("inproc://prov", PageId{1, 1}, Slice("abcd"))
+          .Wait()
+          .ok());
   ASSERT_TRUE(
-      client.WritePage("inproc://prov", PageId{1, 2}, Slice("efgh")).ok());
-  ASSERT_TRUE(client.DeletePage("inproc://prov", PageId{1, 1}).ok());
+      client.WritePageAsync("inproc://prov", PageId{1, 2}, Slice("efgh"))
+          .Wait()
+          .ok());
+  ASSERT_TRUE(
+      client.DeletePageAsync("inproc://prov", PageId{1, 1}).Wait().ok());
 
-  auto stats = client.FetchStats("inproc://prov");
+  auto stats = client.FetchStatsAsync("inproc://prov").Wait();
   ASSERT_TRUE(stats.ok()) << stats.status().ToString();
   PageStoreStats direct = svc->store().GetStats();
   EXPECT_EQ(stats->pages, direct.pages);

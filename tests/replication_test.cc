@@ -124,8 +124,8 @@ TEST(ReplicaStrategyTest, SingleReplicaSetsForUnreplicatedCallers) {
 
 TEST(ReplicatedNodeSerdeTest, LeafRoundTripV3StoresOnlyPageIds) {
   MetaNode n = MetaNode::Leaf(
-      {PageFragment{PageId{10, 20}, {}, 100, 28, 4},
-       PageFragment{PageId{11, 21}, {}, 0, 100, 0}},
+      {PageFragment{PageId{10, 20}, 100, 28, 4},
+       PageFragment{PageId{11, 21}, 0, 100, 0}},
       7, 3);
   BinaryWriter w;
   n.EncodeTo(&w);
@@ -139,102 +139,19 @@ TEST(ReplicatedNodeSerdeTest, LeafRoundTripV3StoresOnlyPageIds) {
   EXPECT_EQ(decoded.fragments[1], n.fragments[1]);
 }
 
-TEST(ReplicatedNodeSerdeTest, V3EncodeDropsLegacyProviders) {
-  // A fragment decoded from v2 (legacy_providers populated) re-encodes as
-  // pure v3: the embedded set is never written back.
-  MetaNode n =
-      MetaNode::Leaf({PageFragment{PageId{10, 20}, {3, 5}, 0, 64, 0}}, 7, 1);
-  BinaryWriter w;
-  n.EncodeTo(&w);
-  MetaNode decoded;
-  BinaryReader r{Slice(w.buffer())};
-  ASSERT_TRUE(decoded.DecodeFrom(&r).ok());
-  ASSERT_TRUE(r.ExpectEnd().ok());
-  ASSERT_EQ(decoded.fragments.size(), 1u);
-  EXPECT_TRUE(decoded.fragments[0].legacy_providers.empty());
-  EXPECT_EQ(decoded.fragments[0].pid, n.fragments[0].pid);
-  EXPECT_EQ(decoded.fragments[0].len, 64u);
-}
-
-TEST(ReplicatedNodeSerdeTest, LegacyV2LeafStillDecodes) {
-  // Format v2: tagged, replica set embedded per fragment. Hand-encoded to
-  // pin the byte layout; decodes into legacy_providers.
-  BinaryWriter w;
-  w.PutU8(meta::kNodeFormatV2);
-  w.PutU8(1);       // type = leaf
-  w.PutU64(7);      // prev_version
-  w.PutU32(3);      // chain_len
-  w.PutU32(1);      // fragment count
-  w.PutPageId(PageId{10, 20});
-  w.PutU8(3);       // replica count
-  w.PutU32(3);
-  w.PutU32(5);
-  w.PutU32(9);
-  w.PutU32(100);    // page_off
-  w.PutU32(28);     // len
-  w.PutU32(4);      // data_off
-  MetaNode decoded;
-  BinaryReader r{Slice(w.buffer())};
-  ASSERT_TRUE(decoded.DecodeFrom(&r).ok());
-  ASSERT_TRUE(r.ExpectEnd().ok());
-  ASSERT_TRUE(decoded.is_leaf());
-  ASSERT_EQ(decoded.fragments.size(), 1u);
-  EXPECT_EQ(decoded.fragments[0].legacy_providers,
-            (std::vector<ProviderId>{3, 5, 9}));
-  EXPECT_EQ(decoded.fragments[0].page_off, 100u);
-  EXPECT_EQ(decoded.fragments[0].len, 28u);
-}
-
-TEST(ReplicatedNodeSerdeTest, LegacyV1LeafStillDecodes) {
-  // Format v1 (pre-replication): no version marker, single provider id per
-  // fragment. Hand-encoded to pin the byte layout.
-  BinaryWriter w;
-  w.PutU8(1);       // type = leaf (doubles as the v1 format signature)
-  w.PutU64(7);      // prev_version
-  w.PutU32(3);      // chain_len
-  w.PutU32(1);      // fragment count
-  w.PutPageId(PageId{10, 20});
-  w.PutU32(6);      // the single provider
-  w.PutU32(100);    // page_off
-  w.PutU32(28);     // len
-  w.PutU32(4);      // data_off
-  MetaNode decoded;
-  BinaryReader r{Slice(w.buffer())};
-  ASSERT_TRUE(decoded.DecodeFrom(&r).ok());
-  ASSERT_TRUE(r.ExpectEnd().ok());
-  ASSERT_TRUE(decoded.is_leaf());
-  EXPECT_EQ(decoded.prev_version, 7u);
-  EXPECT_EQ(decoded.chain_len, 3u);
-  ASSERT_EQ(decoded.fragments.size(), 1u);
-  EXPECT_EQ(decoded.fragments[0].legacy_providers,
-            (std::vector<ProviderId>{6}));
-  EXPECT_EQ(decoded.fragments[0].page_off, 100u);
-}
-
-TEST(ReplicatedNodeSerdeTest, LegacyV1InnerStillDecodes) {
-  BinaryWriter w;
-  w.PutU8(0);  // type = inner, v1
-  w.PutU64(5);
-  w.PutU64(kNoVersion);
-  MetaNode decoded;
-  BinaryReader r{Slice(w.buffer())};
-  ASSERT_TRUE(decoded.DecodeFrom(&r).ok());
-  EXPECT_FALSE(decoded.is_leaf());
-  EXPECT_EQ(decoded.left_version, 5u);
-}
-
 TEST(ReplicatedNodeSerdeTest, CorruptFormatAndReplicaCountRejected) {
   {
     BinaryWriter w;
-    w.PutU8(9);  // neither a v1 type nor the v2 marker
+    w.PutU8(9);  // not the v3 marker
     MetaNode n;
     BinaryReader r{Slice(w.buffer())};
     EXPECT_TRUE(n.DecodeFrom(&r).IsCorruption());
   }
   {
-    // v2 leaf whose fragment claims an empty replica set.
+    // Pre-v3 leaf (marker 2) whose fragment claims an empty replica set:
+    // rejected by its marker alone.
     BinaryWriter w;
-    w.PutU8(meta::kNodeFormatV2);
+    w.PutU8(2);
     w.PutU8(1);
     w.PutU64(kNoVersion);
     w.PutU32(1);
@@ -261,7 +178,9 @@ class PmReplicationTest : public ::testing::Test {
         std::make_unique<pmanager::ProviderManagerClient>(&net_, "inproc://pm");
     for (int i = 0; i < 3; i++) {
       ASSERT_TRUE(
-          client_->Register("inproc://prov-" + std::to_string(i), 0).ok());
+          client_->RegisterAsync("inproc://prov-" + std::to_string(i), 0)
+              .Wait()
+              .ok());
     }
   }
 
@@ -271,7 +190,7 @@ class PmReplicationTest : public ::testing::Test {
 };
 
 TEST_F(PmReplicationTest, AllocateReplicatedReturnsDistinctSets) {
-  auto sets = client_->AllocateReplicated(4, 2);
+  auto sets = client_->AllocateReplicatedAsync(4, 2).Wait();
   ASSERT_TRUE(sets.ok());
   ASSERT_EQ(sets->size(), 4u);
   for (const auto& set : *sets) {
@@ -281,23 +200,29 @@ TEST_F(PmReplicationTest, AllocateReplicatedReturnsDistinctSets) {
 }
 
 TEST_F(PmReplicationTest, ReplicationBeyondLiveProvidersUnavailable) {
-  EXPECT_TRUE(client_->AllocateReplicated(2, 5).status().IsUnavailable());
   EXPECT_TRUE(
-      client_->AllocateReplicated(2, 0).status().IsInvalidArgument());
+      client_->AllocateReplicatedAsync(2, 5).Wait().status().IsUnavailable());
+  EXPECT_TRUE(client_->AllocateReplicatedAsync(2, 0)
+                  .Wait()
+                  .status()
+                  .IsInvalidArgument());
   // The leaf wire format stores the replica count as one byte.
-  EXPECT_TRUE(
-      client_->AllocateReplicated(2, 256).status().IsInvalidArgument());
+  EXPECT_TRUE(client_->AllocateReplicatedAsync(2, 256)
+                  .Wait()
+                  .status()
+                  .IsInvalidArgument());
 }
 
 TEST_F(PmReplicationTest, FailedAllocationLeavesNoPhantomLoad) {
   // An allocation that cannot meet the replication factor must not charge
   // allocated_pages (it would skew load-aware strategies and, with
   // capacity limits, wedge providers that store nothing).
-  ASSERT_TRUE(client_->AllocateReplicated(8, 4).status().IsUnavailable());
+  ASSERT_TRUE(
+      client_->AllocateReplicatedAsync(8, 4).Wait().status().IsUnavailable());
   for (const ProviderRecord& r : svc_->Records()) {
     EXPECT_EQ(r.allocated_pages, 0u);
   }
-  auto ok = client_->AllocateReplicated(3, 2);
+  auto ok = client_->AllocateReplicatedAsync(3, 2).Wait();
   ASSERT_TRUE(ok.ok());
   uint64_t total = 0;
   for (const ProviderRecord& r : svc_->Records()) total += r.allocated_pages;
@@ -388,13 +313,13 @@ TEST(ReplicationClusterTest, ReadRepairRestoresLostReplica) {
 
   // White-box: the leaf for page block [0, 64) names the page object; its
   // replica set lives in the location index.
-  auto leaf = (*client)->meta().GetNode(NodeKey{*id, 1, Extent{0, 64}});
+  auto leaf =
+      (*client)->meta().GetNodeAsync(NodeKey{*id, 1, Extent{0, 64}}).Wait();
   ASSERT_TRUE(leaf.ok());
   ASSERT_TRUE(leaf->is_leaf());
   ASSERT_EQ(leaf->fragments.size(), 1u);
   const PageFragment& frag = leaf->fragments[0];
-  EXPECT_TRUE(frag.legacy_providers.empty());
-  auto entry = (*client)->locator().Resolve(frag.pid);
+  auto entry = (*client)->locator().ResolveAsync(frag.pid).Wait();
   ASSERT_TRUE(entry.ok());
   ASSERT_EQ(entry->providers.size(), 2u);
   ProviderId lost = entry->providers[0];
@@ -523,7 +448,9 @@ TEST(ReplicationClusterTest, AbortRepairAndCompactionRunReplicated) {
   // Crashed writer (v2) with a healthy successor (v3): the abort cannot
   // retract, so it replays v2 as a zero-filled update through the
   // replicated write pipeline.
-  ASSERT_TRUE((*client)->vmanager().AssignVersion(*id, false, 64, 128).ok());
+  ASSERT_TRUE((*client)->vmanager().AssignVersionAsync(*id, false, 64, 128)
+                  .Wait()
+                  .ok());
   std::string tail = TestPayload(9, 64);
   ASSERT_TRUE((*client)->Append(*id, Slice(tail)).ok());
   ASSERT_TRUE((*client)->Abort(*id, 2).ok());

@@ -102,13 +102,13 @@ TEST(RereplicationSimTest, KillRestoresReplicationOnDifferentProviders) {
                                        cluster.pm_address());
     bool healed = false;
     for (int i = 0; i < 200 && !healed; i++) {
-      auto st = pm.FetchStats();
+      auto st = pm.FetchStatsAsync().Wait(&cluster.executor());
       ASSERT_TRUE(st.ok());
       healed = st->dead >= 1 && st->under_replicated == 0;
       if (!healed) cluster.clock().SleepForMicros(kRebuildEvery);
     }
     ASSERT_TRUE(healed) << "rebuilder never cleared the backlog";
-    auto st = pm.FetchStats();
+    auto st = pm.FetchStatsAsync().Wait(&cluster.executor());
     ASSERT_TRUE(st.ok());
     EXPECT_GT(st->rebuilt_pages, 0u);
     ExpectLocationsHealed(cluster.pmanager().location_table(), 3, victim_id);
@@ -230,7 +230,7 @@ TEST(RereplicationEmbeddedTest, RealClockKillRestoresReplication) {
   Stopwatch deadline;
   bool healed = false;
   while (deadline.ElapsedSeconds() < 30.0 && !healed) {
-    auto st = pm.FetchStats();
+    auto st = pm.FetchStatsAsync().Wait();
     ASSERT_TRUE(st.ok());
     healed = st->dead >= 1 && st->under_replicated == 0 &&
              table->CountOn(victim_id) == 0;
@@ -281,87 +281,6 @@ TEST(RereplicationEmbeddedTest, JoinRebalancePullsPagesOntoNewProvider) {
   ASSERT_TRUE(reader.ok());
   Blob blob2(reader->get(), *id);
   ExpectAllVersionsReadable(&blob2, ref);
-}
-
-// --- Upgrade: pre-v3 metadata reads seed the location index ----------------
-
-TEST(RereplicationUpgradeTest, V2MetadataReadSeedsLocationEntries) {
-  core::ClusterOptions opts;
-  opts.num_providers = 3;
-  opts.num_meta = 2;
-  opts.replication = 2;
-  auto cluster = core::EmbeddedCluster::Start(opts);
-  ASSERT_TRUE(cluster.ok());
-  auto client = (*cluster)->NewClient();
-  ASSERT_TRUE(client.ok());
-  auto id = (*client)->Create(64);
-  ASSERT_TRUE(id.ok());
-  Blob blob(client->get(), *id);
-  ReferenceBlob ref = FillBlob(&blob, 1, 64 * 4);
-  auto recent = (*client)->GetRecent(*id);
-  ASSERT_TRUE(recent.ok());
-  const Version v = recent->version;
-  ASSERT_EQ(recent->size, 64u * 4);
-
-  // Regress the blob to the pre-indirection state: rewrite every leaf in
-  // wire format v2 with the replica set embedded, and delete the location
-  // entries — exactly what a store upgraded in place would look like.
-  dht::DhtClient dht((*cluster)->transport(), (*cluster)->dht_addresses());
-  std::vector<PageId> pids;
-  for (uint64_t p = 0; p < 4; p++) {
-    meta::NodeKey key{*id, v, Extent{p * 64, 64}};
-    std::string bytes;
-    ASSERT_TRUE(dht.Get(Slice(key.ToDhtKey()), &bytes).ok());
-    meta::MetaNode node;
-    BinaryReader nr{Slice(bytes)};
-    ASSERT_TRUE(node.DecodeFrom(&nr).ok());
-    ASSERT_TRUE(node.is_leaf());
-    ASSERT_EQ(node.fragments.size(), 1u);
-    const meta::PageFragment& frag = node.fragments[0];
-    ASSERT_TRUE(frag.legacy_providers.empty());  // v3 stores only the pid
-
-    std::string lbytes;
-    ASSERT_TRUE(dht.Get(Slice(locator::LocationKey(frag.pid)), &lbytes).ok());
-    locator::LocationEntry entry;
-    BinaryReader lr{Slice(lbytes)};
-    ASSERT_TRUE(entry.DecodeFrom(&lr).ok());
-    ASSERT_EQ(entry.providers.size(), 2u);
-
-    BinaryWriter w;
-    w.PutU8(meta::kNodeFormatV2);
-    w.PutU8(1);  // type = leaf
-    w.PutU64(node.prev_version);
-    w.PutU32(node.chain_len);
-    w.PutU32(1);  // fragment count
-    w.PutPageId(frag.pid);
-    w.PutU8(static_cast<uint8_t>(entry.providers.size()));
-    for (ProviderId m : entry.providers) w.PutU32(m);
-    w.PutU32(static_cast<uint32_t>(frag.page_off));
-    w.PutU32(static_cast<uint32_t>(frag.len));
-    w.PutU32(static_cast<uint32_t>(frag.data_off));
-    ASSERT_TRUE(dht.Put(Slice(key.ToDhtKey()), Slice(w.buffer())).ok());
-    ASSERT_TRUE(dht.Delete(Slice(locator::LocationKey(frag.pid))).ok());
-    pids.push_back(frag.pid);
-  }
-
-  // A fresh client reads the v2 blob: every page resolves NotFound in the
-  // location index, falls back to the embedded set, and seeds an entry.
-  auto reader = (*cluster)->NewClient();
-  ASSERT_TRUE(reader.ok());
-  Blob blob2(reader->get(), *id);
-  std::string out;
-  ASSERT_TRUE(blob2.Read(v, 0, ref.Size(v), &out).ok());
-  EXPECT_EQ(out, ref.Contents(v));
-  EXPECT_EQ((*reader)->GetStats().location_seeds, 4u);
-  EXPECT_EQ((*reader)->locator().GetStats().seeds, 4u);
-  EXPECT_EQ((*reader)->GetStats().failover_reads, 0u);
-
-  // The seeds are durable: the entries are back in the DHT for everyone.
-  for (const PageId& pid : pids) {
-    std::string lbytes;
-    EXPECT_TRUE(dht.Get(Slice(locator::LocationKey(pid)), &lbytes).ok())
-        << pid.ToString();
-  }
 }
 
 }  // namespace

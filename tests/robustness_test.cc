@@ -60,8 +60,8 @@ TEST(FuzzDecodeTest, BlobDescriptorSurvivesGarbage) {
 // succeed (when the prefix happens to decode), never crash.
 TEST(FuzzDecodeTest, TruncationSweepOnMetaNode) {
   meta::MetaNode leaf = meta::MetaNode::Leaf(
-      {meta::PageFragment{PageId{1, 2}, {3}, 4, 5, 6},
-       meta::PageFragment{PageId{7, 8}, {9}, 10, 11, 12}},
+      {meta::PageFragment{PageId{1, 2}, 4, 5, 6},
+       meta::PageFragment{PageId{7, 8}, 10, 11, 12}},
       42, 3);
   BinaryWriter w;
   leaf.EncodeTo(&w);

@@ -75,9 +75,9 @@ TEST(RpcPushTcp, PipelinedRequestsCompleteBehindHeldAwait) {
   // One channel: the hold and the pipelined calls share a connection.
   vmanager::VersionManagerClient vm(&transport, *bound, /*channels=*/1);
 
-  auto desc = vm.CreateBlob(64);
+  auto desc = vm.CreateBlobAsync(64).Wait();
   ASSERT_TRUE(desc.ok()) << desc.status().ToString();
-  ASSERT_TRUE(vm.AssignVersion(desc->id, true, 0, 8).ok());
+  ASSERT_TRUE(vm.AssignVersionAsync(desc->id, true, 0, 8).Wait().ok());
 
   auto hold = vm.AwaitPublishedAsync(desc->id, 1, 10 * 1000 * 1000);
   ASSERT_TRUE(WaitFor([&] { return svc->core().waiter_count() == 1; }))
@@ -85,7 +85,7 @@ TEST(RpcPushTcp, PipelinedRequestsCompleteBehindHeldAwait) {
 
   auto t0 = steady_clock::now();
   for (int i = 0; i < 16; i++) {
-    auto recent = vm.GetRecent(desc->id);
+    auto recent = vm.GetRecentAsync(desc->id).Wait();
     ASSERT_TRUE(recent.ok()) << recent.status().ToString();
   }
   // 16 round trips behind the hold: milliseconds, not the 10 s hold. The
@@ -93,7 +93,7 @@ TEST(RpcPushTcp, PipelinedRequestsCompleteBehindHeldAwait) {
   // catching any return to FIFO semantics.
   EXPECT_LT(ElapsedMs(t0), 2000.0);
 
-  ASSERT_TRUE(vm.NotifySuccess(desc->id, 1).ok());
+  ASSERT_TRUE(vm.NotifySuccessAsync(desc->id, 1).Wait().ok());
   auto t1 = steady_clock::now();
   auto released = hold.Wait();
   EXPECT_TRUE(released.ok()) << released.status().ToString();
@@ -164,19 +164,19 @@ class PushTransportTest : public ::testing::TestWithParam<std::string> {
 
 TEST_P(PushTransportTest, SubscriptionResolvesAtPublish) {
   vmanager::VersionManagerClient vm(transport_, address_);
-  auto desc = vm.CreateBlob(64);
+  auto desc = vm.CreateBlobAsync(64).Wait();
   ASSERT_TRUE(desc.ok());
-  ASSERT_TRUE(vm.AssignVersion(desc->id, true, 0, 8).ok());
+  ASSERT_TRUE(vm.AssignVersionAsync(desc->id, true, 0, 8).Wait().ok());
 
   auto f = vm.AwaitPublishedAsync(desc->id, 1, 30 * 1000 * 1000);
   ASSERT_TRUE(WaitFor([&] { return svc_->core().waiter_count() == 1; }));
   // The parked subscription is observable through the stats RPC too (the
   // wire message gained the field this change).
-  auto stats = vm.GetStats();
+  auto stats = vm.GetStatsAsync().Wait();
   ASSERT_TRUE(stats.ok());
   EXPECT_EQ(stats->sync_waiters, 1u);
 
-  ASSERT_TRUE(vm.NotifySuccess(desc->id, 1).ok());
+  ASSERT_TRUE(vm.NotifySuccessAsync(desc->id, 1).Wait().ok());
   auto released = f.Wait();
   EXPECT_TRUE(released.ok()) << released.status().ToString();
   EXPECT_TRUE(WaitFor([&] { return svc_->core().waiter_count() == 0; }));
@@ -184,12 +184,13 @@ TEST_P(PushTransportTest, SubscriptionResolvesAtPublish) {
 
 TEST_P(PushTransportTest, SubscriptionTimesOutAndDrains) {
   vmanager::VersionManagerClient vm(transport_, address_);
-  auto desc = vm.CreateBlob(64);
+  auto desc = vm.CreateBlobAsync(64).Wait();
   ASSERT_TRUE(desc.ok());
-  ASSERT_TRUE(vm.AssignVersion(desc->id, true, 0, 8).ok());
+  ASSERT_TRUE(vm.AssignVersionAsync(desc->id, true, 0, 8).Wait().ok());
 
   auto t0 = steady_clock::now();
-  Status st = vm.AwaitPublished(desc->id, 1, 200 * 1000);  // 200 ms
+  // 200 ms
+  Status st = vm.AwaitPublishedAsync(desc->id, 1, 200 * 1000).Wait().status();
   EXPECT_TRUE(st.IsTimedOut()) << st.ToString();
   EXPECT_GE(ElapsedMs(t0), 200.0);
   // The watchdog cancelled the waiter when it fired the timeout.
@@ -210,9 +211,9 @@ TEST(RpcPushTcp, DisconnectedSubscriberDoesNotCrashPublishPath) {
   auto bound = transport.Serve("127.0.0.1:0", svc);
   ASSERT_TRUE(bound.ok());
   vmanager::VersionManagerClient vm(&transport, *bound);
-  auto desc = vm.CreateBlob(64);
+  auto desc = vm.CreateBlobAsync(64).Wait();
   ASSERT_TRUE(desc.ok());
-  ASSERT_TRUE(vm.AssignVersion(desc->id, true, 0, 8).ok());
+  ASSERT_TRUE(vm.AssignVersionAsync(desc->id, true, 0, 8).Wait().ok());
 
   Future<Unit> orphaned = [&] {
     vmanager::VersionManagerClient doomed(&transport, *bound, 1);
@@ -225,10 +226,10 @@ TEST(RpcPushTcp, DisconnectedSubscriberDoesNotCrashPublishPath) {
   // ...but the server-side subscription is still parked; publishing fires
   // it into the dead connection.
   ASSERT_TRUE(svc->core().waiter_count() == 1);
-  ASSERT_TRUE(vm.NotifySuccess(desc->id, 1).ok());
+  ASSERT_TRUE(vm.NotifySuccessAsync(desc->id, 1).Wait().ok());
   EXPECT_TRUE(WaitFor([&] { return svc->core().waiter_count() == 0; }));
   // The endpoint is still healthy for connected clients.
-  auto recent = vm.GetRecent(desc->id);
+  auto recent = vm.GetRecentAsync(desc->id).Wait();
   ASSERT_TRUE(recent.ok());
   EXPECT_EQ(recent->version, 1u);
 }
@@ -305,15 +306,21 @@ TEST(RpcPushSim, SyncResolvesWithinOneRttOfPublish) {
     opts.num_provider_nodes = 2;
     opts.net.latency_us = 1000.0;  // scripted 1 ms one-way => 2 ms RTT
     core::SimCluster cluster(&sched, opts);
-    auto client = cluster.NewClient();  // blocking_sync: push path
+    auto client = cluster.NewClient();
     auto id = client->Create(64);
     ASSERT_TRUE(id.ok());
-    ASSERT_TRUE(client->vmanager().AssignVersion(*id, true, 0, 10).ok());
+    ASSERT_TRUE(client->vmanager()
+                    .AssignVersionAsync(*id, true, 0, 10)
+                    .Wait(client->executor())
+                    .ok());
     double t_pub = -1;
     sched.Spawn([&] {
       sched.SleepFor(300 * 1000);  // publish 300 virtual ms in
       t_pub = sched.Now();
-      EXPECT_TRUE(client->vmanager().NotifySuccess(*id, 1).ok());
+      EXPECT_TRUE(client->vmanager()
+                      .NotifySuccessAsync(*id, 1)
+                      .Wait(client->executor())
+                      .ok());
     });
     auto f = client->SyncAsync(*id, 1, client::BlobClient::kNoTimeout);
     bool ok = f.Wait(client->executor()).ok();
@@ -326,37 +333,6 @@ TEST(RpcPushSim, SyncResolvesWithinOneRttOfPublish) {
   // charges. Far below both the old 250 ms slice and any poll interval.
   EXPECT_GE(push_delay_us, 2 * 1000.0);
   EXPECT_LE(push_delay_us, 10 * 1000.0);
-}
-
-// Satellite (c): sync_poll_us = 0 is clamped. Unclamped, the poll loop's
-// zero-length virtual naps would never advance the clock and this test
-// would livelock inside sched.Run.
-TEST(RpcPushSim, ZeroPollIntervalIsClampedNotLivelocked) {
-  simnet::SimScheduler sched;
-  bool synced = false;
-  double elapsed_us = 0;
-  sched.Run([&] {
-    core::SimClusterOptions opts;
-    opts.num_provider_nodes = 2;
-    core::SimCluster cluster(&sched, opts);
-    client::ClientOptions copts;
-    copts.blocking_sync = false;  // force the poll fallback
-    copts.sync_poll_us = 0;
-    auto client = cluster.NewClient(copts);
-    auto id = client->Create(64);
-    ASSERT_TRUE(id.ok());
-    ASSERT_TRUE(client->vmanager().AssignVersion(*id, true, 0, 10).ok());
-    sched.Spawn([&] {
-      sched.SleepFor(10 * 1000);  // publish 10 virtual ms in
-      EXPECT_TRUE(client->vmanager().NotifySuccess(*id, 1).ok());
-    });
-    double t0 = sched.Now();
-    auto f = client->SyncAsync(*id, 1, 1000 * 1000);
-    synced = f.Wait(client->executor()).ok();
-    elapsed_us = sched.Now() - t0;
-  });
-  EXPECT_TRUE(synced);
-  EXPECT_GE(elapsed_us, 10 * 1000.0);  // saw the publish, i.e. time moved
 }
 
 }  // namespace

@@ -220,7 +220,7 @@ TEST_F(ServerHeartbeatTest, KilledDaemonExpiresToDead) {
   Stopwatch registering;
   uint64_t providers = 0;
   while (registering.ElapsedSeconds() < 10.0 && providers < 2) {
-    auto stats = pm.FetchStats();
+    auto stats = pm.FetchStatsAsync().Wait();
     ASSERT_TRUE(stats.ok()) << stats.status().ToString();
     providers = stats->providers;
     if (providers < 2) RealClock::Default()->SleepForMicros(50 * 1000);
@@ -237,7 +237,7 @@ TEST_F(ServerHeartbeatTest, KilledDaemonExpiresToDead) {
   uint64_t dead = 0;
   while (deadline.ElapsedSeconds() < 15.0 && dead == 0) {
     RealClock::Default()->SleepForMicros(200 * 1000);
-    auto s = pm.FetchStats();
+    auto s = pm.FetchStatsAsync().Wait();
     ASSERT_TRUE(s.ok());
     dead = s->dead;
     // The surviving daemon must never expire to dead while it beats. (It

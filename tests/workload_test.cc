@@ -330,7 +330,7 @@ TEST(WorkloadScale, SimClusterKillWaveAt300Providers) {
 
     pmanager::ProviderManagerClient pm(&cluster.transport(),
                                        cluster.pm_address());
-    auto before = pm.FetchStats();
+    auto before = pm.FetchStatsAsync().Wait(&cluster.executor());
     ASSERT_TRUE(before.ok());
     EXPECT_EQ(before->providers, kProviders);
 
@@ -351,7 +351,7 @@ TEST(WorkloadScale, SimClusterKillWaveAt300Providers) {
     // Let the detector expire the wave, then the directory must show
     // exactly the victims dead and everyone else alive.
     cluster.clock().SleepForMicros(so.dead_after_us + 2 * kBeat);
-    auto after = pm.FetchStats();
+    auto after = pm.FetchStatsAsync().Wait(&cluster.executor());
     ASSERT_TRUE(after.ok());
     EXPECT_EQ(after->dead, kWave);
     EXPECT_EQ(after->alive, kProviders - kWave);
@@ -378,11 +378,12 @@ TEST(WorkloadScale, ReRegistrationKeepsIds) {
     pmanager::ProviderManagerClient pm(&cluster.transport(),
                                        cluster.pm_address());
     for (size_t i = 0; i < cluster.num_provider_nodes(); i++) {
-      auto again = pm.Register(cluster.provider_addresses()[i], 0);
+      auto again = pm.RegisterAsync(cluster.provider_addresses()[i], 0)
+                       .Wait(&cluster.executor());
       ASSERT_TRUE(again.ok());
       EXPECT_EQ(*again, cluster.provider_id(i)) << i;
     }
-    auto stats = pm.FetchStats();
+    auto stats = pm.FetchStatsAsync().Wait(&cluster.executor());
     ASSERT_TRUE(stats.ok());
     EXPECT_EQ(stats->providers, cluster.num_provider_nodes());
     checked_flag = true;
