@@ -46,8 +46,7 @@ struct PassResult {
   uint64_t pages = 0;
   uint64_t live_bytes = 0;
   uint64_t meta_bytes = 0;
-  uint64_t compactions = 0;
-  uint64_t dead_bytes = 0;
+  provider::PageStoreStats store;  ///< summed over every provider
   lifecycle::GcStats gc;
 };
 
@@ -124,11 +123,8 @@ bool RunOverwritePass(const SpaceConfig& cfg, bool retain, PassResult* out) {
   uint64_t meta_keys = 0;
   (void)(*cluster)->TotalProviderUsage(&out->pages, &out->live_bytes);
   (void)(*cluster)->TotalMetadataUsage(&meta_keys, &out->meta_bytes);
-  for (size_t i = 0; i < (*cluster)->num_providers(); i++) {
-    provider::PageStoreStats st = (*cluster)->provider(i).store().GetStats();
-    out->compactions += st.compactions;
-    out->dead_bytes += st.dead_bytes;
-  }
+  for (size_t i = 0; i < (*cluster)->num_providers(); i++)
+    stats::Add(&out->store, (*cluster)->provider(i).store().GetStats());
 
   // Every retained snapshot must still read back in full.
   std::string check;
@@ -242,7 +238,7 @@ int main(int argc, char** argv) {
        HumanBytes(retained.live_bytes), HumanBytes(retained.meta_bytes),
        StrFormat("%.2fx of baseline, %" PRIu64 " pages swept, %" PRIu64
                  " log compactions",
-                 ratio, retained.gc.pages_swept, retained.compactions)});
+                 ratio, retained.gc.pages_swept, retained.store.compactions)});
   table.AddRow({"dedup (50% duplicates)", std::to_string(stored),
                 HumanBytes(stored * cfg.psize), "-",
                 StrFormat("%" PRIu64 " written, %" PRIu64 " adopted", written,
@@ -272,7 +268,7 @@ int main(int argc, char** argv) {
   gc_obj.PutU64("versions_discarded", retained.gc.versions_discarded);
   gc_obj.PutU64("pages_swept", retained.gc.pages_swept);
   gc_obj.PutU64("nodes_retired", retained.gc.nodes_retired);
-  gc_obj.PutU64("log_compactions", retained.compactions);
+  gc_obj.PutU64("log_compactions", retained.store.compactions);
   gc_obj.PutDouble("ratio_vs_baseline", ratio);
   gc_obj.PutDouble("gate_max_ratio", 0.5);
   gc_obj.PutBool("gate_pass", gc_gate);

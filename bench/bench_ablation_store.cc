@@ -1,12 +1,9 @@
-// A5 — ablation: page-store backend sweep (memory vs. file-per-page vs.
-// log-structured) over the fig-2a append workload.
+// A5 — ablation: page-store backend sweep (memory vs. log-structured) over
+// the fig-2a append workload.
 //
 // The paper's providers served immutable pages from RAM (the memory
 // engine); a production deployment needs durability. This bench quantifies
-// what each durable backend costs:
-//   * file:  one file per page, fsync + atomic rename per Put — a metadata
-//            flush and an inode for every page (the layout Sears & van
-//            Ingen show degrading at scale).
+// what the durable backend costs:
 //   * log:   append-only segments with leader-based group commit — many
 //            concurrent Puts share one fdatasync per flush window.
 //   * log-nosync: the same store with the durability window open (syncs
@@ -50,14 +47,13 @@ struct StoreResult {
   provider::PageStoreStats stats;
 };
 
-/// `backend` is "memory", "file", or "log[-nosync][:IO]" where IO selects
+/// `backend` is "memory" or "log[-nosync][:IO]" where IO selects
 /// the raw-I/O backend ("psync", "uring", "uring-direct"). Bare "log" rows
 /// pin psync explicitly so the baseline is stable regardless of the
 /// BLOBSEER_IO_BACKEND environment.
 std::unique_ptr<provider::PageStore> MakeBackend(const std::string& backend,
                                                  const std::string& dir) {
   if (backend == "memory") return provider::MakeMemoryPageStore();
-  if (backend == "file") return provider::MakeFilePageStore(dir);
   std::string log = backend;
   pagelog::LogPageStoreOptions opts;
   opts.io_backend = "psync";
@@ -166,17 +162,13 @@ int main(int argc, char** argv) {
          " KB; store dir %s)\n\n",
          writers, pages_per_writer, psize >> 10, root.c_str());
 
-  const std::vector<std::string> backends = {"memory", "file", "log",
-                                             "log-nosync"};
+  const std::vector<std::string> backends = {"memory", "log", "log-nosync"};
   bench::Table store_table({"backend", "put MB/s", "puts/s", "syncs",
                             "segments", "dead bytes"});
   bench::JsonObject store_json;
-  double file_mbps = 0, log_mbps = 0;
   for (const auto& b : backends) {
     StoreResult r =
         RunStoreSweep(b, root + "/" + b, writers, pages_per_writer, psize);
-    if (b == "file") file_mbps = r.mbps;
-    if (b == "log") log_mbps = r.mbps;
     store_table.AddRow({b, StrFormat("%.1f", r.mbps),
                         StrFormat("%.0f", r.puts_per_sec),
                         std::to_string(r.stats.syncs),
@@ -191,18 +183,6 @@ int main(int argc, char** argv) {
     store_json.PutObject(b, row);
   }
   store_table.Print();
-  // Quick/smoke runs keep headroom: at smoke scale (few hundred puts) a
-  // single slow fsync on a loaded or overlay filesystem swings the ratio
-  // by tens of percent (0.6-1.4x observed on container overlayfs); the
-  // floor still catches the log store collapsing — a per-put-fsync
-  // regression reads as ~0.2x.
-  const double speedup_floor = quick ? 0.5 : 1.0;
-  const bool log_wins = log_mbps >= speedup_floor * file_mbps;
-  printf("\nshape check: log (group-commit fdatasync) should beat file "
-         "(fsync+rename per page):\n  log/file speedup = %.1fx "
-         "(floor %.1fx) %s\n",
-         file_mbps > 0 ? log_mbps / file_mbps : 0.0, speedup_floor,
-         log_wins ? "[ok]" : "[REGRESSION]");
 
   // -------------------------------------------------------------------------
   // Raw-I/O backend x iodepth sweep: the fig-2a append shape driven at
@@ -337,9 +317,8 @@ int main(int argc, char** argv) {
   bench::Table cluster_table({"backend", "append MB/s"});
   bench::JsonObject cluster_json;
   for (const auto& b : backends) {
-    std::string spec = b == "memory" ? std::string("memory")
-                       : b == "file" ? "file:" + root + "/cluster_file"
-                                     : "log:" + root + "/cluster_" + b;
+    std::string spec =
+        b == "memory" ? std::string("memory") : "log:" + root + "/cluster_" + b;
     if (b == "log-nosync") continue;  // cluster wiring uses default options
     double mbps =
         RunClusterAppend(spec, psize, total_mb << 20, append_kb << 10);
@@ -366,10 +345,6 @@ int main(int argc, char** argv) {
   config.PutU64("io_psize", io_psize);
   config.PutU64("io_pages_per_writer", io_pages);
   config.PutU64("io_gate_puts", io_gate_puts);
-  bench::JsonObject gate;
-  gate.PutDouble("log_over_file", file_mbps > 0 ? log_mbps / file_mbps : 0.0);
-  gate.PutDouble("gate_min_speedup", speedup_floor);
-  gate.PutBool("gate_pass", log_wins);
   bench::JsonObject io_gate;
   io_gate.PutBool("uring_available", uring_avail);
   io_gate.PutDouble("min_median_ratio_nosync_iodepth8plus", io_gate_min_ratio);
@@ -384,19 +359,15 @@ int main(int argc, char** argv) {
   doc.PutObject("store_sweep", store_json);
   doc.PutObject("io_sweep", io_json);
   doc.PutObject("cluster_append_mbps", cluster_json);
-  doc.PutObject("log_vs_file", gate);
   doc.PutObject("uring_vs_psync", io_gate);
   const std::string json_path =
       bench::FlagValue(argc, argv, "json", "BENCH_store.json");
   if (!bench::WriteJsonFile(json_path, doc)) return 1;
 
-  // Perf gate: the log store losing to file-per-page is a regression, but
-  // the comparison is only meaningful in optimized builds (sanitizer/debug
-  // instrumentation taxes the log store's CRC path far more than the file
-  // store's single write+fsync) and on a quiet machine (ctest runs this
-  // smoke RUN_SERIAL for that reason).
+  // Perf gate: the uring-direct/psync ratio is only meaningful in optimized
+  // builds and on a quiet machine.
 #ifdef NDEBUG
-  return log_wins && io_gate_pass ? 0 : 1;
+  return io_gate_pass ? 0 : 1;
 #else
   return 0;
 #endif

@@ -4,6 +4,7 @@
 #define BLOBSEER_BENCH_BENCH_UTIL_H_
 
 #include <cinttypes>
+#include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -11,6 +12,8 @@
 #include <string>
 #include <utility>
 #include <vector>
+
+#include "common/stats.h"
 
 namespace blobseer::bench {
 
@@ -109,10 +112,34 @@ namespace internal {
 inline std::string JsonQuote(const std::string& s) {
   std::string out = "\"";
   for (char c : s) {
-    if (c == '"' || c == '\\') out += '\\';
-    out += c;
+    if (c == '"' || c == '\\') {
+      out += '\\';
+      out += c;
+    } else if (c == '\n') {
+      out += "\\n";
+    } else if (static_cast<unsigned char>(c) < 0x20) {
+      char buf[8];
+      snprintf(buf, sizeof(buf), "\\u%04x", static_cast<unsigned>(c));
+      out += buf;
+    } else {
+      out += c;
+    }
   }
   return out + "\"";
+}
+
+inline std::string JsonU64(uint64_t value) {
+  char buf[32];
+  snprintf(buf, sizeof(buf), "%" PRIu64, value);
+  return buf;
+}
+
+/// JSON has no NaN or infinity: non-finite values render as null.
+inline std::string JsonDouble(double value) {
+  if (!std::isfinite(value)) return "null";
+  char buf[64];
+  snprintf(buf, sizeof(buf), "%.6g", value);
+  return buf;
 }
 }  // namespace internal
 
@@ -122,15 +149,9 @@ class JsonObject;
 /// timelines and per-bucket series as arrays alongside JsonObject fields.
 class JsonArray {
  public:
-  void AddU64(uint64_t value) {
-    char buf[32];
-    snprintf(buf, sizeof(buf), "%" PRIu64, value);
-    items_.emplace_back(buf);
-  }
+  void AddU64(uint64_t value) { items_.push_back(internal::JsonU64(value)); }
   void AddDouble(double value) {
-    char buf[64];
-    snprintf(buf, sizeof(buf), "%.6g", value);
-    items_.emplace_back(buf);
+    items_.push_back(internal::JsonDouble(value));
   }
   void AddString(const std::string& value) {
     items_.emplace_back(internal::JsonQuote(value));
@@ -154,19 +175,15 @@ class JsonArray {
 
 /// Insertion-ordered JSON object builder for bench result files. Values are
 /// rendered on Put; nested objects nest via PutObject. Only what the
-/// benches need — strings are escaped for quotes and backslashes, numbers
-/// are emitted verbatim.
+/// benches need — strings are escaped for quotes, backslashes and control
+/// characters; non-finite doubles become null.
 class JsonObject {
  public:
   void PutU64(const std::string& key, uint64_t value) {
-    char buf[32];
-    snprintf(buf, sizeof(buf), "%" PRIu64, value);
-    fields_.emplace_back(key, buf);
+    fields_.emplace_back(key, internal::JsonU64(value));
   }
   void PutDouble(const std::string& key, double value) {
-    char buf[64];
-    snprintf(buf, sizeof(buf), "%.6g", value);
-    fields_.emplace_back(key, buf);
+    fields_.emplace_back(key, internal::JsonDouble(value));
   }
   void PutBool(const std::string& key, bool value) {
     fields_.emplace_back(key, value ? "true" : "false");
@@ -193,6 +210,16 @@ class JsonObject {
  private:
   std::vector<std::pair<std::string, std::string>> fields_;
 };
+
+/// One field per counter of a stats struct (common/stats.h), in list order.
+template <stats::Struct S>
+JsonObject StatsJson(const S& s) {
+  JsonObject o;
+  stats::ForEach(s, [&o](const char* name, uint64_t value) {
+    o.PutU64(name, value);
+  });
+  return o;
+}
 
 /// Writes a bench result document to `path` (pretty enough: one object,
 /// trailing newline). Honoured destination of the shared --json=PATH flag;

@@ -42,6 +42,7 @@ using blobseer::bench::FlagValue;
 using blobseer::bench::JsonArray;
 using blobseer::bench::JsonObject;
 using blobseer::bench::QuickMode;
+using blobseer::bench::StatsJson;
 using blobseer::bench::Table;
 using blobseer::bench::WriteJsonFile;
 using blobseer::workload::GenerateSchedule;
@@ -62,30 +63,12 @@ struct CampaignStats {
   bool verify_ok = false;
   std::string verify_error;
   blobseer::client::ClientStats client{};
-  blobseer::pmanager::PmStatsResponse pm{};
+  blobseer::pmanager::PmStats pm{};
   bool have_pm = false;
-  uint64_t store_pages = 0;
-  uint64_t store_bytes = 0;
+  blobseer::provider::PageStoreStats store{};
   /// Wall seconds on real harnesses, virtual seconds on simnet.
   double elapsed_s = 0;
 };
-
-void MergeClientStats(blobseer::client::ClientStats* into,
-                      const blobseer::client::ClientStats& s) {
-  into->writes += s.writes;
-  into->appends += s.appends;
-  into->reads += s.reads;
-  into->bytes_written += s.bytes_written;
-  into->bytes_read += s.bytes_read;
-  into->pages_stored += s.pages_stored;
-  into->meta_nodes_written += s.meta_nodes_written;
-  into->failover_reads += s.failover_reads;
-  into->read_repairs += s.read_repairs;
-  into->degraded_writes += s.degraded_writes;
-  into->locations_published += s.locations_published;
-  into->location_refreshes += s.location_refreshes;
-  into->dedup_hits += s.dedup_hits;
-}
 
 // ---------------------------------------------------------------------------
 // JSON rendering (shared schema across every campaign artifact).
@@ -149,38 +132,7 @@ JsonObject OpsJson(const WorkloadReport& r) {
   return o;
 }
 
-JsonObject ClientJson(const blobseer::client::ClientStats& s) {
-  JsonObject o;
-  o.PutU64("writes", s.writes);
-  o.PutU64("appends", s.appends);
-  o.PutU64("reads", s.reads);
-  o.PutU64("bytes_written", s.bytes_written);
-  o.PutU64("bytes_read", s.bytes_read);
-  o.PutU64("pages_stored", s.pages_stored);
-  o.PutU64("meta_nodes_written", s.meta_nodes_written);
-  o.PutU64("failover_reads", s.failover_reads);
-  o.PutU64("read_repairs", s.read_repairs);
-  o.PutU64("degraded_writes", s.degraded_writes);
-  o.PutU64("locations_published", s.locations_published);
-  o.PutU64("location_refreshes", s.location_refreshes);
-  return o;
-}
-
-JsonObject PmJson(const blobseer::pmanager::PmStatsResponse& s) {
-  JsonObject o;
-  o.PutU64("providers", s.providers);
-  o.PutU64("alive", s.alive);
-  o.PutU64("suspect", s.suspect);
-  o.PutU64("dead", s.dead);
-  o.PutU64("draining", s.draining);
-  o.PutU64("allocations", s.allocations);
-  o.PutU64("located_pages", s.located_pages);
-  o.PutU64("under_replicated", s.under_replicated);
-  o.PutU64("rebuilt_pages", s.rebuilt_pages);
-  return o;
-}
-
-JsonObject StatsJson(const CampaignStats& st) {
+JsonObject CampaignJson(const CampaignStats& st) {
   JsonObject o;
   o.PutDouble("elapsed_s", st.elapsed_s);
   const WorkloadReport& r = st.report;
@@ -199,11 +151,11 @@ JsonObject StatsJson(const CampaignStats& st) {
   lat.PutObject("write", LatencyJson(r.write_latency));
   o.PutObject("latency_us", lat);
   o.PutObject("timeline", TimelineJson(r.timeline));
-  o.PutObject("client", ClientJson(st.client));
-  if (st.have_pm) o.PutObject("pm", PmJson(st.pm));
+  o.PutObject("client", StatsJson(st.client));
+  if (st.have_pm) o.PutObject("pm", StatsJson(st.pm));
   JsonObject store;
-  store.PutU64("pages", st.store_pages);
-  store.PutU64("bytes", st.store_bytes);
+  store.PutU64("pages", st.store.pages);
+  store.PutU64("bytes", st.store.bytes);
   o.PutObject("store", store);
   JsonObject verify;
   verify.PutBool("ok", st.verify_ok);
@@ -348,10 +300,10 @@ bool RunRealMixed(const DriverConfig& cfg, const std::string& harness,
     }
     st.retained_checked += checked;
     st.report.Merge(runners[w]->report());
-    MergeClientStats(&st.client, clients[w]->GetStats());
+    blobseer::stats::Add(&st.client, clients[w]->GetStats());
   }
   st.elapsed_s = double(clock->NowMicros() - epoch) / 1e6;
-  (*cluster)->TotalProviderUsage(&st.store_pages, &st.store_bytes);
+  (*cluster)->TotalProviderUsage(&st.store.pages, &st.store.bytes);
   blobseer::pmanager::ProviderManagerClient pm((*cluster)->transport(),
                                                (*cluster)->pmanager_address());
   auto pm_stats = pm.FetchStatsAsync().Wait();
@@ -373,7 +325,7 @@ bool RunRealMixed(const DriverConfig& cfg, const std::string& harness,
   cl.PutU64("workers", cfg.workers);
   cl.PutU64("window", cfg.window);
   doc.PutObject("cluster", cl);
-  doc.PutObject("results", StatsJson(st));
+  doc.PutObject("results", CampaignJson(st));
   JsonObject gates;
   bool pass = MixedGates(st, &gates);
   doc.PutObject("gates", gates);
@@ -450,13 +402,11 @@ bool RunSimMixed(const DriverConfig& cfg, Table* summary) {
       }
       st.retained_checked += checked;
       st.report.Merge(runners[w]->report());
-      MergeClientStats(&st.client, clients[w]->GetStats());
+      blobseer::stats::Add(&st.client, clients[w]->GetStats());
     }
     st.elapsed_s = double(cluster.clock().NowMicros() - epoch) / 1e6;
     for (size_t i = 0; i < cfg.sim_providers; i++) {
-      auto ps = cluster.provider(i).store().GetStats();
-      st.store_pages += ps.pages;
-      st.store_bytes += ps.bytes;
+      blobseer::stats::Add(&st.store, cluster.provider(i).store().GetStats());
     }
     blobseer::pmanager::ProviderManagerClient pm(&cluster.transport(),
                                                  cluster.pm_address());
@@ -479,7 +429,7 @@ bool RunSimMixed(const DriverConfig& cfg, Table* summary) {
   cl.PutU64("workers", cfg.workers);
   cl.PutU64("window", cfg.window);
   doc.PutObject("cluster", cl);
-  doc.PutObject("results", StatsJson(st));
+  doc.PutObject("results", CampaignJson(st));
   JsonObject gates;
   bool mixed_pass = MixedGates(st, &gates);
   doc.PutObject("gates", gates);
@@ -659,13 +609,11 @@ bool RunScale(const DriverConfig& cfg, Table* summary) {
       }
       st.retained_checked += checked;
       st.report.Merge(runners[w]->report());
-      MergeClientStats(&st.client, clients[w]->GetStats());
+      blobseer::stats::Add(&st.client, clients[w]->GetStats());
     }
     st.elapsed_s = double(cluster.clock().NowMicros() - epoch) / 1e6;
     for (size_t i = 0; i < cfg.scale_providers; i++) {
-      auto ps = cluster.provider(i).store().GetStats();
-      st.store_pages += ps.pages;
-      st.store_bytes += ps.bytes;
+      blobseer::stats::Add(&st.store, cluster.provider(i).store().GetStats());
     }
     blobseer::pmanager::ProviderManagerClient pm(&cluster.transport(),
                                                  cluster.pm_address());
@@ -698,7 +646,7 @@ bool RunScale(const DriverConfig& cfg, Table* summary) {
   cl.PutU64("dead_after_us", dead_us);
   cl.PutU64("rebuild_interval_us", rebuild_us);
   doc.PutObject("cluster", cl);
-  doc.PutObject("results", StatsJson(st));
+  doc.PutObject("results", CampaignJson(st));
   JsonObject chaos;
   chaos.PutU64("kill_wave", cfg.kill_wave);
   chaos.PutU64("decommissioned", cfg.decommission);

@@ -15,10 +15,6 @@ std::unique_ptr<provider::PageStore> MakeStore(const ClusterOptions& options,
                                                size_t index) {
   const std::string& spec = options.page_store;
   if (spec == "null") return provider::MakeNullPageStore();
-  if (StartsWith(spec, "file:")) {
-    return provider::MakeFilePageStore(
-        StrFormat("%s/provider-%zu", spec.substr(5).c_str(), index));
-  }
   if (StartsWith(spec, "log:")) {
     pagelog::LogPageStoreOptions lo;
     lo.compact_dead_ratio = options.log_compact_dead_ratio;
@@ -37,6 +33,9 @@ Result<std::unique_ptr<EmbeddedCluster>> EmbeddedCluster::Start(
     const ClusterOptions& options) {
   if (options.num_providers == 0 || options.num_meta == 0)
     return Status::InvalidArgument("cluster needs providers and meta nodes");
+  const std::string& spec = options.page_store;
+  if (spec != "memory" && spec != "null" && !StartsWith(spec, "log:"))
+    return Status::InvalidArgument("unknown page_store: " + spec);
 
   std::unique_ptr<EmbeddedCluster> c(new EmbeddedCluster());
   c->options_ = options;
@@ -174,25 +173,21 @@ Result<std::unique_ptr<client::BlobClient>> EmbeddedCluster::NewClient(
 
 Status EmbeddedCluster::TotalProviderUsage(uint64_t* pages,
                                            uint64_t* bytes) const {
-  *pages = 0;
-  *bytes = 0;
-  for (const auto& svc : provider_services_) {
-    provider::PageStoreStats st = svc->store().GetStats();
-    *pages += st.pages;
-    *bytes += st.bytes;
-  }
+  provider::PageStoreStats total;
+  for (const auto& svc : provider_services_)
+    stats::Add(&total, svc->store().GetStats());
+  *pages = total.pages;
+  *bytes = total.bytes;
   return Status::OK();
 }
 
 Status EmbeddedCluster::TotalMetadataUsage(uint64_t* keys,
                                            uint64_t* bytes) const {
-  *keys = 0;
-  *bytes = 0;
-  for (const auto& svc : dht_services_) {
-    dht::StoreStats st = svc->store().GetStats();
-    *keys += st.keys;
-    *bytes += st.bytes;
-  }
+  dht::StoreStats total;
+  for (const auto& svc : dht_services_)
+    stats::Add(&total, svc->store().GetStats());
+  *keys = total.keys;
+  *bytes = total.bytes;
   return Status::OK();
 }
 

@@ -29,8 +29,8 @@ struct ClusterOptions {
   size_t num_meta = 4;
   /// "inproc" or "tcp" (loopback, ephemeral ports).
   std::string transport = "inproc";
-  /// "memory", "null", "file:<directory>", or "log:<directory>" (durable
-  /// log-structured store; each provider gets a provider-N subdirectory).
+  /// "memory", "null", or "log:<directory>" (durable log-structured store;
+  /// each provider gets a provider-N subdirectory). Start rejects others.
   std::string page_store = "memory";
   /// Allocation strategy name (see pmanager/strategy.h).
   std::string allocation = "round_robin";

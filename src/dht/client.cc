@@ -34,27 +34,27 @@ Future<CasResponse> DhtClient::CasAsync(Slice key, Slice expected,
       return MakeReadyFuture<CasResponse>(std::move(r));
     auto rsp = std::make_shared<CasResponse>(std::move(r).ValueUnsafe());
     PutRequest put{key, value};
-    std::vector<Future<PutResponse>> tail;
+    std::vector<Future<rpc::Empty>> tail;
     for (size_t i = 1; i < replicas.size(); i++) {
-      tail.push_back(pool_.CallWithReconnect<PutRequest, PutResponse>(
+      tail.push_back(pool_.CallWithReconnect<PutRequest, rpc::Empty>(
           nodes_[replicas[i]], rpc::Method::kDhtPut, put));
     }
     return WhenAll(std::move(tail))
-        .Then([rsp](Result<std::vector<Result<PutResponse>>>)
+        .Then([rsp](Result<std::vector<Result<rpc::Empty>>>)
                   -> Result<CasResponse> { return std::move(*rsp); });
   });
 }
 
 Future<Unit> DhtClient::PutAsync(Slice key, Slice value) {
   auto req = PutRequest{key.ToString(), value.ToString()};
-  std::vector<Future<PutResponse>> calls;
+  std::vector<Future<rpc::Empty>> calls;
   for (size_t node : placement_->ReplicaNodes(key, options_.replication)) {
-    calls.push_back(pool_.CallWithReconnect<PutRequest, PutResponse>(
+    calls.push_back(pool_.CallWithReconnect<PutRequest, rpc::Empty>(
         nodes_[node], rpc::Method::kDhtPut, req));
   }
   if (calls.empty()) return MakeReadyFuture(Status::Unavailable("dht put"));
   return WhenAll(std::move(calls))
-      .Then([](Result<std::vector<Result<PutResponse>>> all) -> Status {
+      .Then([](Result<std::vector<Result<rpc::Empty>>> all) -> Status {
         if (!all.ok()) return all.status();
         Status first;
         for (const auto& r : *all) {
@@ -96,14 +96,14 @@ Future<std::string> DhtClient::GetAsync(Slice key) {
 
 Future<Unit> DhtClient::DeleteAsync(Slice key) {
   DeleteRequest req{key.ToString()};
-  std::vector<Future<DeleteResponse>> calls;
+  std::vector<Future<rpc::Empty>> calls;
   for (size_t node : placement_->ReplicaNodes(key, options_.replication)) {
-    calls.push_back(pool_.CallWithReconnect<DeleteRequest, DeleteResponse>(
+    calls.push_back(pool_.CallWithReconnect<DeleteRequest, rpc::Empty>(
         nodes_[node], rpc::Method::kDhtDelete, req));
   }
   if (calls.empty()) return MakeReadyFuture(Status::OK());
   return WhenAll(std::move(calls))
-      .Then([](Result<std::vector<Result<DeleteResponse>>> all) -> Status {
+      .Then([](Result<std::vector<Result<rpc::Empty>>> all) -> Status {
         if (!all.ok()) return all.status();
         for (const auto& r : *all) {
           if (!r.ok()) return r.status();
@@ -112,24 +112,20 @@ Future<Unit> DhtClient::DeleteAsync(Slice key) {
       });
 }
 
-Future<StatsResponse> DhtClient::TotalStatsAsync() {
-  std::vector<Future<StatsResponse>> calls;
+Future<StoreStats> DhtClient::TotalStatsAsync() {
+  std::vector<Future<StoreStats>> calls;
   for (const auto& addr : nodes_) {
-    calls.push_back(pool_.CallWithReconnect<StatsRequest, StatsResponse>(
-        addr, rpc::Method::kDhtStats, StatsRequest{}));
+    calls.push_back(pool_.CallWithReconnect<rpc::Empty, StoreStats>(
+        addr, rpc::Method::kDhtStats, rpc::Empty{}));
   }
   return WhenAll(std::move(calls))
-      .Then([](Result<std::vector<Result<StatsResponse>>> all)
-                -> Result<StatsResponse> {
+      .Then([](Result<std::vector<Result<StoreStats>>> all)
+                -> Result<StoreStats> {
         if (!all.ok()) return all.status();
-        StatsResponse total;
+        StoreStats total;
         for (const auto& r : *all) {
           if (!r.ok()) return r.status();
-          total.keys += r->keys;
-          total.bytes += r->bytes;
-          total.puts += r->puts;
-          total.gets += r->gets;
-          total.hits += r->hits;
+          stats::Add(&total, *r);
         }
         return total;
       });

@@ -10,6 +10,7 @@
 #include "common/future.h"
 #include "dht/messages.h"
 #include "dht/placement.h"
+#include "dht/store.h"
 #include "rpc/channel_pool.h"
 #include "rpc/transport.h"
 
@@ -49,7 +50,7 @@ class DhtClient {
                                bool expect_absent);
 
   /// Aggregate stats across all nodes.
-  Future<StatsResponse> TotalStatsAsync();
+  Future<StoreStats> TotalStatsAsync();
 
   size_t num_nodes() const { return nodes_.size(); }
   const DhtClientOptions& options() const { return options_; }

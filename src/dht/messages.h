@@ -22,11 +22,6 @@ struct PutRequest {
   }
 };
 
-struct PutResponse {
-  void EncodeTo(BinaryWriter*) const {}
-  Status DecodeFrom(BinaryReader*) { return Status::OK(); }
-};
-
 struct GetRequest {
   std::string key;
   void EncodeTo(BinaryWriter* w) const { w->PutString(key); }
@@ -43,11 +38,6 @@ struct DeleteRequest {
   std::string key;
   void EncodeTo(BinaryWriter* w) const { w->PutString(key); }
   Status DecodeFrom(BinaryReader* r) { return r->GetString(&key); }
-};
-
-struct DeleteResponse {
-  void EncodeTo(BinaryWriter*) const {}
-  Status DecodeFrom(BinaryReader*) { return Status::OK(); }
 };
 
 /// Single-key compare-and-swap: installs `value` iff the stored value
@@ -135,33 +125,6 @@ struct MultiGetResponse {
     values.resize(n);
     for (auto& v : values) BS_RETURN_NOT_OK(r->GetString(&v));
     return Status::OK();
-  }
-};
-
-struct StatsRequest {
-  void EncodeTo(BinaryWriter*) const {}
-  Status DecodeFrom(BinaryReader*) { return Status::OK(); }
-};
-
-struct StatsResponse {
-  uint64_t keys = 0;
-  uint64_t bytes = 0;
-  uint64_t puts = 0;
-  uint64_t gets = 0;
-  uint64_t hits = 0;
-  void EncodeTo(BinaryWriter* w) const {
-    w->PutU64(keys);
-    w->PutU64(bytes);
-    w->PutU64(puts);
-    w->PutU64(gets);
-    w->PutU64(hits);
-  }
-  Status DecodeFrom(BinaryReader* r) {
-    BS_RETURN_NOT_OK(r->GetU64(&keys));
-    BS_RETURN_NOT_OK(r->GetU64(&bytes));
-    BS_RETURN_NOT_OK(r->GetU64(&puts));
-    BS_RETURN_NOT_OK(r->GetU64(&gets));
-    return r->GetU64(&hits);
   }
 };
 

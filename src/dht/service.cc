@@ -12,8 +12,8 @@ Status DhtService::Handle(rpc::Method method, Slice payload,
   using rpc::DispatchTyped;
   switch (method) {
     case rpc::Method::kDhtPut:
-      return DispatchTyped<PutRequest, PutResponse>(
-          payload, response, [this](const PutRequest& req, PutResponse*) {
+      return DispatchTyped<PutRequest, rpc::Empty>(
+          payload, response, [this](const PutRequest& req, rpc::Empty*) {
             return store_.Put(Slice(req.key), Slice(req.value));
           });
     case rpc::Method::kDhtGet:
@@ -22,8 +22,8 @@ Status DhtService::Handle(rpc::Method method, Slice payload,
             return store_.Get(Slice(req.key), &rsp->value);
           });
     case rpc::Method::kDhtDelete:
-      return DispatchTyped<DeleteRequest, DeleteResponse>(
-          payload, response, [this](const DeleteRequest& req, DeleteResponse*) {
+      return DispatchTyped<DeleteRequest, rpc::Empty>(
+          payload, response, [this](const DeleteRequest& req, rpc::Empty*) {
             return store_.Delete(Slice(req.key));
           });
     case rpc::Method::kDhtCas:
@@ -50,14 +50,9 @@ Status DhtService::Handle(rpc::Method method, Slice payload,
             return Status::OK();
           });
     case rpc::Method::kDhtStats:
-      return DispatchTyped<StatsRequest, StatsResponse>(
-          payload, response, [this](const StatsRequest&, StatsResponse* rsp) {
-            StoreStats st = store_.GetStats();
-            rsp->keys = st.keys;
-            rsp->bytes = st.bytes;
-            rsp->puts = st.puts;
-            rsp->gets = st.gets;
-            rsp->hits = st.hits;
+      return DispatchTyped<rpc::Empty, StoreStats>(
+          payload, response, [this](const rpc::Empty&, StoreStats* rsp) {
+            *rsp = store_.GetStats();
             return Status::OK();
           });
     default:

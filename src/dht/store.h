@@ -10,6 +10,7 @@
 #include <vector>
 
 #include "common/slice.h"
+#include "common/stats.h"
 #include "common/status.h"
 
 namespace blobseer::dht {
@@ -21,6 +22,17 @@ struct StoreStats {
   uint64_t gets = 0;
   uint64_t hits = 0;
   uint64_t deletes = 0;
+
+  static constexpr auto Fields() {
+    using S = StoreStats;
+    return std::to_array<stats::Field<S>>(
+        {{"keys", &S::keys},
+         {"bytes", &S::bytes},
+         {"puts", &S::puts},
+         {"gets", &S::gets},
+         {"hits", &S::hits},
+         {"deletes", &S::deletes}});
+  }
 };
 
 /// Thread-safe hash map sharded by key hash to reduce lock contention under

@@ -2,7 +2,7 @@
 // in-memory PageId index rebuilt by scanning on open, batched group-commit
 // fdatasync, and segment compaction driven by version-GC deletes.
 //
-// Compared to the one-file-per-page FilePageStore this amortizes the
+// Compared to a one-file-per-page layout this amortizes the
 // per-page inode + metadata flush into sequential appends with one
 // fdatasync per flush window shared by all concurrent writers — the
 // layout ForkBase-style chunk stores use, and the remedy Sears & van Ingen

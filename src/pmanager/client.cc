@@ -21,9 +21,9 @@ Future<ProviderId> ProviderManagerClient::RegisterAsync(
 Future<Unit> ProviderManagerClient::HeartbeatAsync(ProviderId id,
                                                    uint64_t pages,
                                                    uint64_t bytes) {
-  return Call<HeartbeatRequest, HeartbeatResponse>(
+  return Call<HeartbeatRequest, rpc::Empty>(
              rpc::Method::kPmHeartbeat, HeartbeatRequest{id, pages, bytes})
-      .Then([](Result<HeartbeatResponse> rsp) { return rsp.status(); });
+      .Then([](Result<rpc::Empty> rsp) { return rsp.status(); });
 }
 
 Future<std::vector<std::vector<ProviderId>>>
@@ -40,9 +40,9 @@ ProviderManagerClient::AllocateReplicatedAsync(uint32_t num_pages,
 
 Future<Unit> ProviderManagerClient::ReportLocationsAsync(
     ReportLocationsRequest req) {
-  return Call<ReportLocationsRequest, ReportLocationsResponse>(
+  return Call<ReportLocationsRequest, rpc::Empty>(
              rpc::Method::kPmReportLocations, std::move(req))
-      .Then([](Result<ReportLocationsResponse> r) { return r.status(); });
+      .Then([](Result<rpc::Empty> r) { return r.status(); });
 }
 
 Future<DecommissionResponse> ProviderManagerClient::DecommissionAsync(
@@ -72,8 +72,8 @@ Future<std::string> ProviderManagerClient::ResolveAddressAsync(ProviderId id) {
 
 Future<std::vector<DirectoryEntry>>
 ProviderManagerClient::FetchDirectoryAsync() {
-  return Call<DirectoryRequest, DirectoryResponse>(rpc::Method::kPmDirectory,
-                                                   DirectoryRequest{})
+  return Call<rpc::Empty, DirectoryResponse>(rpc::Method::kPmDirectory,
+                                             rpc::Empty{})
       .Then([this](Result<DirectoryResponse> rsp)
                 -> Result<std::vector<DirectoryEntry>> {
         if (!rsp.ok()) return rsp.status();
@@ -83,9 +83,8 @@ ProviderManagerClient::FetchDirectoryAsync() {
       });
 }
 
-Future<PmStatsResponse> ProviderManagerClient::FetchStatsAsync() {
-  return Call<PmStatsRequest, PmStatsResponse>(rpc::Method::kPmStats,
-                                               PmStatsRequest{});
+Future<PmStats> ProviderManagerClient::FetchStatsAsync() {
+  return Call<rpc::Empty, PmStats>(rpc::Method::kPmStats, rpc::Empty{});
 }
 
 }  // namespace blobseer::pmanager

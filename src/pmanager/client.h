@@ -49,7 +49,7 @@ class ProviderManagerClient {
   /// Registry statistics, including the failure detector's current
   /// alive/suspect/dead counts and the location-table health counters
   /// (tools, tests and churn harnesses).
-  Future<PmStatsResponse> FetchStatsAsync();
+  Future<PmStats> FetchStatsAsync();
 
  private:
   /// Pooled call with reconnect-once. Register and Heartbeat are

@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "common/serde.h"
+#include "common/stats.h"
 
 namespace blobseer::pmanager {
 
@@ -42,11 +43,6 @@ struct HeartbeatRequest {
     BS_RETURN_NOT_OK(r->GetU64(&stored_pages));
     return r->GetU64(&stored_bytes);
   }
-};
-
-struct HeartbeatResponse {
-  void EncodeTo(BinaryWriter*) const {}
-  Status DecodeFrom(BinaryReader*) { return Status::OK(); }
 };
 
 struct AllocateRequest {
@@ -105,11 +101,6 @@ struct DirectoryEntry {
   }
 };
 
-struct DirectoryRequest {
-  void EncodeTo(BinaryWriter*) const {}
-  Status DecodeFrom(BinaryReader*) { return Status::OK(); }
-};
-
 struct DirectoryResponse {
   std::vector<DirectoryEntry> entries;
   void EncodeTo(BinaryWriter* w) const { PutVector(w, entries); }
@@ -164,11 +155,6 @@ struct ReportLocationsRequest {
   }
 };
 
-struct ReportLocationsResponse {
-  void EncodeTo(BinaryWriter*) const {}
-  Status DecodeFrom(BinaryReader*) { return Status::OK(); }
-};
-
 /// Marks a provider draining and reports drain progress. Idempotent: poll
 /// until `drained`, then the process can be retired safely.
 struct DecommissionRequest {
@@ -191,12 +177,9 @@ struct DecommissionResponse {
   }
 };
 
-struct PmStatsRequest {
-  void EncodeTo(BinaryWriter*) const {}
-  Status DecodeFrom(BinaryReader*) { return Status::OK(); }
-};
-
-struct PmStatsResponse {
+/// Registry and location-table statistics (ProviderManagerService::
+/// GetStats, the kPmStats payload).
+struct PmStats {
   uint64_t providers = 0;
   uint64_t allocations = 0;
   uint64_t min_allocated = 0;
@@ -215,47 +198,30 @@ struct PmStatsResponse {
   uint64_t located_pages = 0;
   uint64_t under_replicated = 0;
   uint64_t rebuilt_pages = 0;
-  /// GC sweeper counters (zero when no sweeper is hosted); appended after
-  /// the replication fields, decoded only when present so a new client can
-  /// read an old server's response.
+  /// GC sweeper counters (zero when no sweeper is hosted).
   uint64_t gc_passes = 0;
   uint64_t gc_versions_discarded = 0;
   uint64_t gc_versions_retired = 0;
   uint64_t gc_pages_swept = 0;
-  void EncodeTo(BinaryWriter* w) const {
-    w->PutU64(providers);
-    w->PutU64(allocations);
-    w->PutU64(min_allocated);
-    w->PutU64(max_allocated);
-    w->PutU64(alive);
-    w->PutU64(suspect);
-    w->PutU64(dead);
-    w->PutU64(draining);
-    w->PutU64(located_pages);
-    w->PutU64(under_replicated);
-    w->PutU64(rebuilt_pages);
-    w->PutU64(gc_passes);
-    w->PutU64(gc_versions_discarded);
-    w->PutU64(gc_versions_retired);
-    w->PutU64(gc_pages_swept);
-  }
-  Status DecodeFrom(BinaryReader* r) {
-    BS_RETURN_NOT_OK(r->GetU64(&providers));
-    BS_RETURN_NOT_OK(r->GetU64(&allocations));
-    BS_RETURN_NOT_OK(r->GetU64(&min_allocated));
-    BS_RETURN_NOT_OK(r->GetU64(&max_allocated));
-    BS_RETURN_NOT_OK(r->GetU64(&alive));
-    BS_RETURN_NOT_OK(r->GetU64(&suspect));
-    BS_RETURN_NOT_OK(r->GetU64(&dead));
-    BS_RETURN_NOT_OK(r->GetU64(&draining));
-    BS_RETURN_NOT_OK(r->GetU64(&located_pages));
-    BS_RETURN_NOT_OK(r->GetU64(&under_replicated));
-    BS_RETURN_NOT_OK(r->GetU64(&rebuilt_pages));
-    if (r->remaining() == 0) return Status::OK();
-    BS_RETURN_NOT_OK(r->GetU64(&gc_passes));
-    BS_RETURN_NOT_OK(r->GetU64(&gc_versions_discarded));
-    BS_RETURN_NOT_OK(r->GetU64(&gc_versions_retired));
-    return r->GetU64(&gc_pages_swept);
+
+  static constexpr auto Fields() {
+    using S = PmStats;
+    return std::to_array<stats::Field<S>>(
+        {{"providers", &S::providers},
+         {"allocations", &S::allocations},
+         {"min_allocated", &S::min_allocated},
+         {"max_allocated", &S::max_allocated},
+         {"alive", &S::alive},
+         {"suspect", &S::suspect},
+         {"dead", &S::dead},
+         {"draining", &S::draining},
+         {"located_pages", &S::located_pages},
+         {"under_replicated", &S::under_replicated},
+         {"rebuilt_pages", &S::rebuilt_pages},
+         {"gc_passes", &S::gc_passes},
+         {"gc_versions_discarded", &S::gc_versions_discarded},
+         {"gc_versions_retired", &S::gc_versions_retired},
+         {"gc_pages_swept", &S::gc_pages_swept}});
   }
 };
 

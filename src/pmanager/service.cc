@@ -47,6 +47,61 @@ std::vector<ProviderRecord> ProviderManagerService::Records() const {
   return records_;
 }
 
+PmStats ProviderManagerService::GetStats() const {
+  PmStats st;
+  std::vector<char> usable;  // by provider id: page has this member
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    RefreshLivenessLocked();
+    st.providers = records_.size();
+    st.allocations = allocations_;
+    usable.resize(records_.size(), 0);
+    for (const auto& r : records_) {
+      switch (r.liveness) {
+        case Liveness::kAlive: st.alive++; break;
+        case Liveness::kSuspect: st.suspect++; break;
+        case Liveness::kDead: st.dead++; break;
+      }
+      if (r.draining) st.draining++;
+      usable[r.id] = r.liveness != Liveness::kDead && !r.draining;
+    }
+    if (!records_.empty()) {
+      auto [mn, mx] = std::minmax_element(
+          records_.begin(), records_.end(),
+          [](const ProviderRecord& a, const ProviderRecord& b) {
+            return a.allocated_pages < b.allocated_pages;
+          });
+      st.min_allocated = mn->allocated_pages;
+      st.max_allocated = mx->allocated_pages;
+    }
+  }
+  // Location-table scan outside mu_ (the table has its own lock):
+  // a page is under-replicated when any member is dead, draining
+  // or unknown — exactly the rebuilder's backlog.
+  for (const auto& [pid, entry] : table_.Snapshot()) {
+    st.located_pages++;
+    for (ProviderId m : entry.providers) {
+      if (m >= usable.size() || !usable[m]) {
+        st.under_replicated++;
+        break;
+      }
+    }
+  }
+  if (rebuilder_) {
+    locator::RebuildStats rs = rebuilder_->GetStats();
+    st.rebuilt_pages =
+        rs.pages_rebuilt + rs.pages_drained + rs.pages_rebalanced;
+  }
+  if (gc_sweeper_) {
+    lifecycle::GcStats gs = gc_sweeper_->GetStats();
+    st.gc_passes = gs.passes;
+    st.gc_versions_discarded = gs.versions_discarded;
+    st.gc_versions_retired = gs.versions_retired;
+    st.gc_pages_swept = gs.pages_swept;
+  }
+  return st;
+}
+
 std::vector<locator::ProviderView> ProviderManagerService::ProviderViews()
     const {
   std::vector<locator::ProviderView> views;
@@ -141,9 +196,9 @@ Status ProviderManagerService::Handle(rpc::Method method, Slice payload,
             return Status::OK();
           });
     case rpc::Method::kPmHeartbeat:
-      return DispatchTyped<HeartbeatRequest, HeartbeatResponse>(
+      return DispatchTyped<HeartbeatRequest, rpc::Empty>(
           payload, response,
-          [this](const HeartbeatRequest& req, HeartbeatResponse*) {
+          [this](const HeartbeatRequest& req, rpc::Empty*) {
             std::lock_guard<std::mutex> lock(mu_);
             // NotFound tells the sender to re-register (a restarted
             // provider manager has an empty registry).
@@ -199,9 +254,9 @@ Status ProviderManagerService::Handle(rpc::Method method, Slice payload,
             return Status::OK();
           });
     case rpc::Method::kPmDirectory:
-      return DispatchTyped<DirectoryRequest, DirectoryResponse>(
+      return DispatchTyped<rpc::Empty, DirectoryResponse>(
           payload, response,
-          [this](const DirectoryRequest&, DirectoryResponse* rsp) {
+          [this](const rpc::Empty&, DirectoryResponse* rsp) {
             std::lock_guard<std::mutex> lock(mu_);
             // The directory stays complete — readers need the addresses of
             // suspect/dead providers for failover attempts and repair.
@@ -212,9 +267,9 @@ Status ProviderManagerService::Handle(rpc::Method method, Slice payload,
             return Status::OK();
           });
     case rpc::Method::kPmReportLocations:
-      return DispatchTyped<ReportLocationsRequest, ReportLocationsResponse>(
+      return DispatchTyped<ReportLocationsRequest, rpc::Empty>(
           payload, response,
-          [this](const ReportLocationsRequest& req, ReportLocationsResponse*) {
+          [this](const ReportLocationsRequest& req, rpc::Empty*) {
             for (const auto& info : req.added) {
               table_.Record(info.pid,
                             locator::LocationEntry{info.epoch, info.providers});
@@ -240,60 +295,9 @@ Status ProviderManagerService::Handle(rpc::Method method, Slice payload,
             return Status::OK();
           });
     case rpc::Method::kPmStats:
-      return DispatchTyped<PmStatsRequest, PmStatsResponse>(
-          payload, response,
-          [this](const PmStatsRequest&, PmStatsResponse* rsp) {
-            std::vector<char> usable;  // by provider id: page has this member
-            {
-              std::lock_guard<std::mutex> lock(mu_);
-              RefreshLivenessLocked();
-              rsp->providers = records_.size();
-              rsp->allocations = allocations_;
-              usable.resize(records_.size(), 0);
-              for (const auto& r : records_) {
-                switch (r.liveness) {
-                  case Liveness::kAlive: rsp->alive++; break;
-                  case Liveness::kSuspect: rsp->suspect++; break;
-                  case Liveness::kDead: rsp->dead++; break;
-                }
-                if (r.draining) rsp->draining++;
-                usable[r.id] =
-                    r.liveness != Liveness::kDead && !r.draining;
-              }
-              if (!records_.empty()) {
-                auto [mn, mx] = std::minmax_element(
-                    records_.begin(), records_.end(),
-                    [](const ProviderRecord& a, const ProviderRecord& b) {
-                      return a.allocated_pages < b.allocated_pages;
-                    });
-                rsp->min_allocated = mn->allocated_pages;
-                rsp->max_allocated = mx->allocated_pages;
-              }
-            }
-            // Location-table scan outside mu_ (the table has its own lock):
-            // a page is under-replicated when any member is dead, draining
-            // or unknown — exactly the rebuilder's backlog.
-            for (const auto& [pid, entry] : table_.Snapshot()) {
-              rsp->located_pages++;
-              for (ProviderId m : entry.providers) {
-                if (m >= usable.size() || !usable[m]) {
-                  rsp->under_replicated++;
-                  break;
-                }
-              }
-            }
-            if (rebuilder_) {
-              locator::RebuildStats rs = rebuilder_->GetStats();
-              rsp->rebuilt_pages =
-                  rs.pages_rebuilt + rs.pages_drained + rs.pages_rebalanced;
-            }
-            if (gc_sweeper_) {
-              lifecycle::GcStats gs = gc_sweeper_->GetStats();
-              rsp->gc_passes = gs.passes;
-              rsp->gc_versions_discarded = gs.versions_discarded;
-              rsp->gc_versions_retired = gs.versions_retired;
-              rsp->gc_pages_swept = gs.pages_swept;
-            }
+      return DispatchTyped<rpc::Empty, PmStats>(
+          payload, response, [this](const rpc::Empty&, PmStats* rsp) {
+            *rsp = GetStats();
             return Status::OK();
           });
     default:

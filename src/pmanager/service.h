@@ -15,6 +15,7 @@
 #include "lifecycle/gc_sweeper.h"
 #include "locator/rebuilder.h"
 #include "locator/table.h"
+#include "pmanager/messages.h"
 #include "pmanager/strategy.h"
 #include "rpc/transport.h"
 
@@ -46,6 +47,10 @@ class ProviderManagerService : public rpc::ServiceHandler {
   /// Snapshot of the registry with liveness freshly derived from heartbeat
   /// ages (for tests and tools).
   std::vector<ProviderRecord> Records() const;
+
+  /// Registry statistics with liveness freshly derived, plus the location
+  /// table's health and the hosted rebuilder's and GC sweeper's progress.
+  PmStats GetStats() const;
 
   /// Registry snapshot in the rebuilder's vocabulary: `alive` marks
   /// eligible move targets (heartbeating, not draining), `up` marks usable

@@ -10,28 +10,8 @@ ProviderClient::ProviderClient(rpc::Transport* transport,
 
 Future<PageStoreStats> ProviderClient::FetchStatsAsync(
     const std::string& address) {
-  return pool_
-      .CallWithReconnect<StatsRequest, StatsResponse>(
-          address, rpc::Method::kProviderStats, StatsRequest{})
-      .Then([](Result<StatsResponse> rsp) -> Result<PageStoreStats> {
-        if (!rsp.ok()) return rsp.status();
-        PageStoreStats st;
-        st.pages = rsp->pages;
-        st.bytes = rsp->bytes;
-        st.writes = rsp->writes;
-        st.reads = rsp->reads;
-        st.deletes = rsp->deletes;
-        st.segments = rsp->segments;
-        st.dead_bytes = rsp->dead_bytes;
-        st.syncs = rsp->syncs;
-        st.compactions = rsp->compactions;
-        st.io_submissions = rsp->io_submissions;
-        st.io_sqes = rsp->io_sqes;
-        st.bytes_written = rsp->bytes_written;
-        st.read_syscalls = rsp->read_syscalls;
-        st.recovery_us = rsp->recovery_us;
-        return st;
-      });
+  return pool_.CallWithReconnect<rpc::Empty, PageStoreStats>(
+      address, rpc::Method::kProviderStats, rpc::Empty{});
 }
 
 Future<Unit> ProviderClient::WritePageAsync(const std::string& address,
@@ -40,9 +20,9 @@ Future<Unit> ProviderClient::WritePageAsync(const std::string& address,
   req.pid = pid;
   req.data = data.ToString();
   return pool_
-      .CallWithReconnect<WriteRequest, WriteResponse>(
+      .CallWithReconnect<WriteRequest, rpc::Empty>(
           address, rpc::Method::kProviderWrite, std::move(req))
-      .Then([](Result<WriteResponse> rsp) { return rsp.status(); });
+      .Then([](Result<rpc::Empty> rsp) { return rsp.status(); });
 }
 
 Future<std::string> ProviderClient::ReadPageAsync(const std::string& address,
@@ -61,9 +41,9 @@ Future<std::string> ProviderClient::ReadPageAsync(const std::string& address,
 Future<Unit> ProviderClient::DeletePageAsync(const std::string& address,
                                              const PageId& pid) {
   return pool_
-      .CallWithReconnect<DeleteRequest, DeleteResponse>(
+      .CallWithReconnect<DeleteRequest, rpc::Empty>(
           address, rpc::Method::kProviderDelete, DeleteRequest{pid})
-      .Then([](Result<DeleteResponse> rsp) { return rsp.status(); });
+      .Then([](Result<rpc::Empty> rsp) { return rsp.status(); });
 }
 
 }  // namespace blobseer::provider

@@ -21,11 +21,6 @@ struct WriteRequest {
   }
 };
 
-struct WriteResponse {
-  void EncodeTo(BinaryWriter*) const {}
-  Status DecodeFrom(BinaryReader*) { return Status::OK(); }
-};
-
 struct ReadRequest {
   PageId pid;
   uint64_t offset = 0;
@@ -52,68 +47,6 @@ struct DeleteRequest {
   PageId pid;
   void EncodeTo(BinaryWriter* w) const { w->PutPageId(pid); }
   Status DecodeFrom(BinaryReader* r) { return r->GetPageId(&pid); }
-};
-
-struct DeleteResponse {
-  void EncodeTo(BinaryWriter*) const {}
-  Status DecodeFrom(BinaryReader*) { return Status::OK(); }
-};
-
-struct StatsRequest {
-  void EncodeTo(BinaryWriter*) const {}
-  Status DecodeFrom(BinaryReader*) { return Status::OK(); }
-};
-
-/// Mirrors PageStoreStats field-for-field, including the log-structured
-/// backend extension (segments/dead_bytes/syncs/compactions and the raw-I/O
-/// counters are zero for the other engines).
-struct StatsResponse {
-  uint64_t pages = 0;
-  uint64_t bytes = 0;
-  uint64_t writes = 0;
-  uint64_t reads = 0;
-  uint64_t deletes = 0;
-  uint64_t segments = 0;
-  uint64_t dead_bytes = 0;
-  uint64_t syncs = 0;
-  uint64_t compactions = 0;
-  uint64_t io_submissions = 0;
-  uint64_t io_sqes = 0;
-  uint64_t bytes_written = 0;
-  uint64_t read_syscalls = 0;
-  uint64_t recovery_us = 0;
-  void EncodeTo(BinaryWriter* w) const {
-    w->PutU64(pages);
-    w->PutU64(bytes);
-    w->PutU64(writes);
-    w->PutU64(reads);
-    w->PutU64(deletes);
-    w->PutU64(segments);
-    w->PutU64(dead_bytes);
-    w->PutU64(syncs);
-    w->PutU64(compactions);
-    w->PutU64(io_submissions);
-    w->PutU64(io_sqes);
-    w->PutU64(bytes_written);
-    w->PutU64(read_syscalls);
-    w->PutU64(recovery_us);
-  }
-  Status DecodeFrom(BinaryReader* r) {
-    BS_RETURN_NOT_OK(r->GetU64(&pages));
-    BS_RETURN_NOT_OK(r->GetU64(&bytes));
-    BS_RETURN_NOT_OK(r->GetU64(&writes));
-    BS_RETURN_NOT_OK(r->GetU64(&reads));
-    BS_RETURN_NOT_OK(r->GetU64(&deletes));
-    BS_RETURN_NOT_OK(r->GetU64(&segments));
-    BS_RETURN_NOT_OK(r->GetU64(&dead_bytes));
-    BS_RETURN_NOT_OK(r->GetU64(&syncs));
-    BS_RETURN_NOT_OK(r->GetU64(&compactions));
-    BS_RETURN_NOT_OK(r->GetU64(&io_submissions));
-    BS_RETURN_NOT_OK(r->GetU64(&io_sqes));
-    BS_RETURN_NOT_OK(r->GetU64(&bytes_written));
-    BS_RETURN_NOT_OK(r->GetU64(&read_syscalls));
-    return r->GetU64(&recovery_us);
-  }
 };
 
 }  // namespace blobseer::provider

@@ -9,6 +9,7 @@
 #include <unordered_map>
 
 #include "common/slice.h"
+#include "common/stats.h"
 #include "common/status.h"
 #include "common/types.h"
 
@@ -32,6 +33,28 @@ struct PageStoreStats {
   uint64_t bytes_written = 0;   ///< file bytes written via the append path
   uint64_t read_syscalls = 0;   ///< pread syscalls issued by the read path
   uint64_t recovery_us = 0;     ///< open-time segment scan/replay micros
+
+  friend bool operator==(const PageStoreStats&,
+                         const PageStoreStats&) = default;
+
+  static constexpr auto Fields() {
+    using S = PageStoreStats;
+    return std::to_array<stats::Field<S>>(
+        {{"pages", &S::pages},
+         {"bytes", &S::bytes},
+         {"writes", &S::writes},
+         {"reads", &S::reads},
+         {"deletes", &S::deletes},
+         {"segments", &S::segments},
+         {"dead_bytes", &S::dead_bytes},
+         {"syncs", &S::syncs},
+         {"compactions", &S::compactions},
+         {"io_submissions", &S::io_submissions},
+         {"io_sqes", &S::io_sqes},
+         {"bytes_written", &S::bytes_written},
+         {"read_syscalls", &S::read_syscalls},
+         {"recovery_us", &S::recovery_us}});
+  }
 };
 
 /// Abstract page object store. Page objects are immutable once written
@@ -84,10 +107,6 @@ inline Status CheckReadRange(uint64_t object_size, uint64_t offset,
 /// Heap-backed store (the configuration used for all paper experiments —
 /// Grid'5000 providers served pages from RAM).
 std::unique_ptr<PageStore> MakeMemoryPageStore();
-
-/// Durable store: one file per page object under `dir`, fanned into 256
-/// subdirectories by page-id hash.
-std::unique_ptr<PageStore> MakeFilePageStore(const std::string& dir);
 
 /// Size-only store for the network simulator: remembers object lengths and
 /// serves zero bytes. Keeps 175-node / multi-GiB simulations in memory.

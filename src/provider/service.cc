@@ -145,8 +145,8 @@ Status ProviderService::Handle(rpc::Method method, Slice payload,
   using rpc::DispatchTyped;
   switch (method) {
     case rpc::Method::kProviderWrite:
-      return DispatchTyped<WriteRequest, WriteResponse>(
-          payload, response, [this](const WriteRequest& req, WriteResponse*) {
+      return DispatchTyped<WriteRequest, rpc::Empty>(
+          payload, response, [this](const WriteRequest& req, rpc::Empty*) {
             return store_->Put(req.pid, Slice(req.data));
           });
     case rpc::Method::kProviderRead:
@@ -155,29 +155,15 @@ Status ProviderService::Handle(rpc::Method method, Slice payload,
             return store_->Read(req.pid, req.offset, req.len, &rsp->data);
           });
     case rpc::Method::kProviderDelete:
-      return DispatchTyped<DeleteRequest, DeleteResponse>(
+      return DispatchTyped<DeleteRequest, rpc::Empty>(
           payload, response,
-          [this](const DeleteRequest& req, DeleteResponse*) {
+          [this](const DeleteRequest& req, rpc::Empty*) {
             return store_->Delete(req.pid);
           });
     case rpc::Method::kProviderStats:
-      return DispatchTyped<StatsRequest, StatsResponse>(
-          payload, response, [this](const StatsRequest&, StatsResponse* rsp) {
-            PageStoreStats st = store_->GetStats();
-            rsp->pages = st.pages;
-            rsp->bytes = st.bytes;
-            rsp->writes = st.writes;
-            rsp->reads = st.reads;
-            rsp->deletes = st.deletes;
-            rsp->segments = st.segments;
-            rsp->dead_bytes = st.dead_bytes;
-            rsp->syncs = st.syncs;
-            rsp->compactions = st.compactions;
-            rsp->io_submissions = st.io_submissions;
-            rsp->io_sqes = st.io_sqes;
-            rsp->bytes_written = st.bytes_written;
-            rsp->read_syscalls = st.read_syscalls;
-            rsp->recovery_us = st.recovery_us;
+      return DispatchTyped<rpc::Empty, PageStoreStats>(
+          payload, response, [this](const rpc::Empty&, PageStoreStats* rsp) {
+            *rsp = store_->GetStats();
             return Status::OK();
           });
     default:

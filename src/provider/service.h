@@ -37,7 +37,7 @@ struct HeartbeatConfig {
 
 class ProviderService : public rpc::ServiceHandler {
  public:
-  /// Takes ownership of the storage engine (memory, file, or null).
+  /// Takes ownership of the storage engine (memory, null, or log).
   explicit ProviderService(std::unique_ptr<PageStore> store);
   ~ProviderService() override;
 

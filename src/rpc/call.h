@@ -7,22 +7,48 @@
 
 #include "common/future.h"
 #include "common/serde.h"
+#include "common/stats.h"
 #include "rpc/transport.h"
 
 namespace blobseer::rpc {
 
-/// Encodes `req`, performs the call, decodes into `*rsp`. Fails with
-/// Corruption if the response has trailing bytes.
+/// The request or response of a method that carries no payload.
+struct Empty {
+  void EncodeTo(BinaryWriter*) const {}
+  Status DecodeFrom(BinaryReader*) { return Status::OK(); }
+};
+
+/// Serializes one message: a stats struct (common/stats.h) through its
+/// field list, anything else through its EncodeTo.
+template <typename M>
+std::string EncodePayload(const M& msg) {
+  BinaryWriter w;
+  if constexpr (stats::Struct<M>)
+    stats::EncodeTo(msg, &w);
+  else
+    msg.EncodeTo(&w);
+  return std::move(w).TakeBuffer();
+}
+
+/// Decodes a whole payload into `*msg`, the one decode path of every call
+/// and handler. Fails with Corruption on short or trailing bytes.
+template <typename M>
+Status DecodePayload(Slice payload, M* msg) {
+  BinaryReader r(payload);
+  if constexpr (stats::Struct<M>)
+    BS_RETURN_NOT_OK(stats::DecodeFrom(&r, msg));
+  else
+    BS_RETURN_NOT_OK(msg->DecodeFrom(&r));
+  return r.ExpectEnd();
+}
+
+/// Encodes `req`, performs the call, decodes into `*rsp`.
 template <typename Request, typename Response>
 Status CallMethod(Channel* channel, Method method, const Request& req,
                   Response* rsp) {
-  BinaryWriter w;
-  req.EncodeTo(&w);
   std::string out;
-  BS_RETURN_NOT_OK(channel->Call(method, Slice(w.buffer()), &out));
-  BinaryReader r{Slice(out)};
-  BS_RETURN_NOT_OK(rsp->DecodeFrom(&r));
-  return r.ExpectEnd();
+  BS_RETURN_NOT_OK(channel->Call(method, Slice(EncodePayload(req)), &out));
+  return DecodePayload(Slice(out), rsp);
 }
 
 /// Async counterpart: encodes `req` inline, issues CallAsync, decodes in the
@@ -33,20 +59,16 @@ Status CallMethod(Channel* channel, Method method, const Request& req,
 template <typename Request, typename Response>
 Future<Response> CallMethodAsync(Channel* channel, Method method,
                                  const Request& req) {
-  BinaryWriter w;
-  req.EncodeTo(&w);
   Promise<Response> p;
   Future<Response> f = p.GetFuture();
-  channel->CallAsync(method, Slice(w.buffer()),
+  channel->CallAsync(method, Slice(EncodePayload(req)),
                      [p](Status st, std::string out) mutable {
                        if (!st.ok()) {
                          p.Set(std::move(st));
                          return;
                        }
                        Response rsp;
-                       BinaryReader r{Slice(out)};
-                       Status ds = rsp.DecodeFrom(&r);
-                       if (ds.ok()) ds = r.ExpectEnd();
+                       Status ds = DecodePayload(Slice(out), &rsp);
                        if (!ds.ok())
                          p.Set(std::move(ds));
                        else
@@ -60,14 +82,10 @@ Future<Response> CallMethodAsync(Channel* channel, Method method,
 template <typename Request, typename Response, typename F>
 Status DispatchTyped(Slice payload, std::string* response, F&& fn) {
   Request req;
-  BinaryReader r(payload);
-  BS_RETURN_NOT_OK(req.DecodeFrom(&r));
-  BS_RETURN_NOT_OK(r.ExpectEnd());
+  BS_RETURN_NOT_OK(DecodePayload(payload, &req));
   Response rsp;
   BS_RETURN_NOT_OK(fn(req, &rsp));
-  BinaryWriter w;
-  rsp.EncodeTo(&w);
-  *response = std::move(w).TakeBuffer();
+  *response = EncodePayload(rsp);
   return Status::OK();
 }
 

@@ -7,9 +7,9 @@
 //   blobseer_server --listen=0.0.0.0:7701 --roles=provider,meta
 //       --pmanager=vmhost:7700 --store=log:/var/lib/blobseer
 //
-// --store selects the provider page engine: "memory" (default), "null",
-// "file:<dir>" (one fsynced file per page), or "log:<dir>" (log-structured
-// segment store with group-commit durability; see docs/pagelog_format.md).
+// --store selects the provider page engine: "memory" (default), "null", or
+// "log:<dir>" (log-structured segment store with group-commit durability;
+// see docs/pagelog_format.md).
 // --io-backend selects the raw-I/O path of a "log:" store: "psync"
 // (default), "uring" (batched io_uring submissions), or "uring-direct"
 // (io_uring + O_DIRECT); unknown or kernel-unsupported values fall back to
@@ -39,6 +39,7 @@
 
 #include "common/executor.h"
 #include "common/logging.h"
+#include "common/stats.h"
 #include "common/string_util.h"
 #include "dht/service.h"
 #include "pagelog/log_page_store.h"
@@ -140,15 +141,16 @@ int main(int argc, char** argv) {
       std::unique_ptr<provider::PageStore> store;
       if (store_spec == "null") {
         store = provider::MakeNullPageStore();
-      } else if (StartsWith(store_spec, "file:")) {
-        store = provider::MakeFilePageStore(store_spec.substr(5));
       } else if (StartsWith(store_spec, "log:")) {
         pagelog::LogPageStoreOptions lo;
         lo.compact_dead_ratio = compact_dead_ratio;
         lo.io_backend = io_backend;
         store = pagelog::MakeLogPageStore(store_spec.substr(4), lo);
-      } else {
+      } else if (store_spec == "memory") {
         store = provider::MakeMemoryPageStore();
+      } else {
+        fprintf(stderr, "unknown --store: %s\n", store_spec.c_str());
+        return 2;
       }
       provider_service =
           std::make_shared<provider::ProviderService>(std::move(store));
@@ -236,27 +238,14 @@ int main(int argc, char** argv) {
   }
   printf("shutting down\n");
   if (provider_service) {
-    // Final page-store statistics, including the log-structured backend
-    // extension fields (mirrored by the provider Stats RPC).
-    provider::PageStoreStats st = provider_service->store().GetStats();
-    printf("provider stats: pages=%llu bytes=%llu writes=%llu reads=%llu "
-           "deletes=%llu segments=%llu dead_bytes=%llu syncs=%llu "
-           "compactions=%llu io_submissions=%llu io_sqes=%llu "
-           "bytes_written=%llu read_syscalls=%llu recovery_us=%llu\n",
-           static_cast<unsigned long long>(st.pages),
-           static_cast<unsigned long long>(st.bytes),
-           static_cast<unsigned long long>(st.writes),
-           static_cast<unsigned long long>(st.reads),
-           static_cast<unsigned long long>(st.deletes),
-           static_cast<unsigned long long>(st.segments),
-           static_cast<unsigned long long>(st.dead_bytes),
-           static_cast<unsigned long long>(st.syncs),
-           static_cast<unsigned long long>(st.compactions),
-           static_cast<unsigned long long>(st.io_submissions),
-           static_cast<unsigned long long>(st.io_sqes),
-           static_cast<unsigned long long>(st.bytes_written),
-           static_cast<unsigned long long>(st.read_syscalls),
-           static_cast<unsigned long long>(st.recovery_us));
+    // Final page-store statistics, one name=value pair per counter.
+    printf("provider stats:");
+    stats::ForEach(provider_service->store().GetStats(),
+                   [](const char* name, uint64_t value) {
+                     printf(" %s=%llu", name,
+                            static_cast<unsigned long long>(value));
+                   });
+    printf("\n");
   }
   return 0;
 }

@@ -58,8 +58,8 @@ Future<AssignTicket> VersionManagerClient::AssignVersionAsync(BlobId id,
 
 Future<Unit> VersionManagerClient::NotifySuccessAsync(BlobId id,
                                                       Version version) {
-  return CallStatus<NotifyResponse>(rpc::Method::kVmNotifySuccess,
-                                    NotifyRequest{id, version});
+  return CallStatus<rpc::Empty>(rpc::Method::kVmNotifySuccess,
+                                NotifyRequest{id, version});
 }
 
 Future<AbortOutcome> VersionManagerClient::AbortUpdateAsync(BlobId id,
@@ -102,24 +102,13 @@ Future<BlobDescriptor> VersionManagerClient::BranchAsync(BlobId id,
 }
 
 Future<VmStats> VersionManagerClient::GetStatsAsync() {
-  return Call<VmStatsResponse>(rpc::Method::kVmStats, VmStatsRequest{})
-      .Then([](Result<VmStatsResponse> rsp) -> Result<VmStats> {
-        if (!rsp.ok()) return rsp.status();
-        VmStats st;
-        st.blobs = rsp->blobs;
-        st.assigned = rsp->assigned;
-        st.published = rsp->published;
-        st.aborted = rsp->aborted;
-        st.discarded = rsp->discarded;
-        st.sync_waiters = rsp->sync_waiters;
-        return st;
-      });
+  return Call<VmStats>(rpc::Method::kVmStats, rpc::Empty{});
 }
 
 Future<Unit> VersionManagerClient::SetRetentionAsync(
     BlobId id, const lifecycle::RetentionPolicy& policy) {
-  return CallStatus<SetRetentionResponse>(rpc::Method::kVmSetRetention,
-                                          SetRetentionRequest{id, policy});
+  return CallStatus<rpc::Empty>(rpc::Method::kVmSetRetention,
+                                SetRetentionRequest{id, policy});
 }
 
 Future<lifecycle::RetentionPolicy> VersionManagerClient::GetRetentionAsync(
@@ -136,12 +125,12 @@ Future<std::vector<VersionInfo>> VersionManagerClient::ListVersionsAsync(
 
 Future<Unit> VersionManagerClient::DiscardVersionAsync(BlobId id,
                                                        Version version) {
-  return CallStatus<DiscardVersionResponse>(
-      rpc::Method::kVmDiscardVersion, DiscardVersionRequest{id, version});
+  return CallStatus<rpc::Empty>(rpc::Method::kVmDiscardVersion,
+                                DiscardVersionRequest{id, version});
 }
 
 Future<std::vector<BlobId>> VersionManagerClient::ListBlobsAsync() {
-  return Call(rpc::Method::kVmListBlobs, ListBlobsRequest{},
+  return Call(rpc::Method::kVmListBlobs, rpc::Empty{},
               &ListBlobsResponse::blobs);
 }
 

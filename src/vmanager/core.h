@@ -20,6 +20,7 @@
 #include "common/clock.h"
 #include "common/result.h"
 #include "common/serde.h"
+#include "common/stats.h"
 #include "common/types.h"
 #include "lifecycle/retention.h"
 
@@ -107,6 +108,17 @@ struct VmStats {
   uint64_t aborted = 0;
   uint64_t discarded = 0;
   uint64_t sync_waiters = 0;  ///< parked publication subscriptions
+
+  static constexpr auto Fields() {
+    using S = VmStats;
+    return std::to_array<stats::Field<S>>(
+        {{"blobs", &S::blobs},
+         {"assigned", &S::assigned},
+         {"published", &S::published},
+         {"aborted", &S::aborted},
+         {"discarded", &S::discarded},
+         {"sync_waiters", &S::sync_waiters}});
+  }
 };
 
 /// One version's lifecycle facts, as reported by ListVersions (the GC

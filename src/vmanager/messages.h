@@ -80,11 +80,6 @@ struct NotifyRequest {
   }
 };
 
-struct NotifyResponse {
-  void EncodeTo(BinaryWriter*) const {}
-  Status DecodeFrom(BinaryReader*) { return Status::OK(); }
-};
-
 struct AbortRequest {
   BlobId id = kInvalidBlobId;
   Version version = kNoVersion;
@@ -183,39 +178,6 @@ struct BranchResponse {
   Status DecodeFrom(BinaryReader* r) { return descriptor.DecodeFrom(r); }
 };
 
-struct VmStatsRequest {
-  void EncodeTo(BinaryWriter*) const {}
-  Status DecodeFrom(BinaryReader*) { return Status::OK(); }
-};
-
-struct VmStatsResponse {
-  uint64_t blobs = 0;
-  uint64_t assigned = 0;
-  uint64_t published = 0;
-  uint64_t aborted = 0;
-  uint64_t discarded = 0;
-  uint64_t sync_waiters = 0;  ///< parked AwaitPublished subscriptions
-  void EncodeTo(BinaryWriter* w) const {
-    w->PutU64(blobs);
-    w->PutU64(assigned);
-    w->PutU64(published);
-    w->PutU64(aborted);
-    w->PutU64(discarded);
-    w->PutU64(sync_waiters);
-  }
-  Status DecodeFrom(BinaryReader* r) {
-    BS_RETURN_NOT_OK(r->GetU64(&blobs));
-    BS_RETURN_NOT_OK(r->GetU64(&assigned));
-    BS_RETURN_NOT_OK(r->GetU64(&published));
-    BS_RETURN_NOT_OK(r->GetU64(&aborted));
-    // Gated trailing decodes: older peers omit these fields.
-    if (r->remaining() == 0) return Status::OK();
-    BS_RETURN_NOT_OK(r->GetU64(&discarded));
-    if (r->remaining() == 0) return Status::OK();
-    return r->GetU64(&sync_waiters);
-  }
-};
-
 struct SetRetentionRequest {
   BlobId id = kInvalidBlobId;
   lifecycle::RetentionPolicy policy;
@@ -227,11 +189,6 @@ struct SetRetentionRequest {
     BS_RETURN_NOT_OK(r->GetU64(&id));
     return policy.DecodeFrom(r);
   }
-};
-
-struct SetRetentionResponse {
-  void EncodeTo(BinaryWriter*) const {}
-  Status DecodeFrom(BinaryReader*) { return Status::OK(); }
 };
 
 struct GetRetentionRequest {
@@ -269,16 +226,6 @@ struct DiscardVersionRequest {
     BS_RETURN_NOT_OK(r->GetU64(&id));
     return r->GetU64(&version);
   }
-};
-
-struct DiscardVersionResponse {
-  void EncodeTo(BinaryWriter*) const {}
-  Status DecodeFrom(BinaryReader*) { return Status::OK(); }
-};
-
-struct ListBlobsRequest {
-  void EncodeTo(BinaryWriter*) const {}
-  Status DecodeFrom(BinaryReader*) { return Status::OK(); }
 };
 
 struct ListBlobsResponse {

@@ -39,8 +39,8 @@ Status VersionManagerService::Handle(rpc::Method method, Slice payload,
             return Status::OK();
           });
     case rpc::Method::kVmNotifySuccess:
-      return DispatchTyped<NotifyRequest, NotifyResponse>(
-          payload, response, [this](const NotifyRequest& req, NotifyResponse*) {
+      return DispatchTyped<NotifyRequest, rpc::Empty>(
+          payload, response, [this](const NotifyRequest& req, rpc::Empty*) {
             return core_->NotifySuccess(req.id, req.version);
           });
     case rpc::Method::kVmAbortUpdate:
@@ -89,21 +89,15 @@ Status VersionManagerService::Handle(rpc::Method method, Slice payload,
             return Status::OK();
           });
     case rpc::Method::kVmStats:
-      return DispatchTyped<VmStatsRequest, VmStatsResponse>(
-          payload, response, [this](const VmStatsRequest&, VmStatsResponse* rsp) {
-            VmStats st = core_->GetStats();
-            rsp->blobs = st.blobs;
-            rsp->assigned = st.assigned;
-            rsp->published = st.published;
-            rsp->aborted = st.aborted;
-            rsp->discarded = st.discarded;
-            rsp->sync_waiters = st.sync_waiters;
+      return DispatchTyped<rpc::Empty, VmStats>(
+          payload, response, [this](const rpc::Empty&, VmStats* rsp) {
+            *rsp = core_->GetStats();
             return Status::OK();
           });
     case rpc::Method::kVmSetRetention:
-      return DispatchTyped<SetRetentionRequest, SetRetentionResponse>(
+      return DispatchTyped<SetRetentionRequest, rpc::Empty>(
           payload, response,
-          [this](const SetRetentionRequest& req, SetRetentionResponse*) {
+          [this](const SetRetentionRequest& req, rpc::Empty*) {
             return core_->SetRetention(req.id, req.policy);
           });
     case rpc::Method::kVmGetRetention:
@@ -125,15 +119,15 @@ Status VersionManagerService::Handle(rpc::Method method, Slice payload,
             return Status::OK();
           });
     case rpc::Method::kVmDiscardVersion:
-      return DispatchTyped<DiscardVersionRequest, DiscardVersionResponse>(
+      return DispatchTyped<DiscardVersionRequest, rpc::Empty>(
           payload, response,
-          [this](const DiscardVersionRequest& req, DiscardVersionResponse*) {
+          [this](const DiscardVersionRequest& req, rpc::Empty*) {
             return core_->DiscardVersion(req.id, req.version);
           });
     case rpc::Method::kVmListBlobs:
-      return DispatchTyped<ListBlobsRequest, ListBlobsResponse>(
+      return DispatchTyped<rpc::Empty, ListBlobsResponse>(
           payload, response,
-          [this](const ListBlobsRequest&, ListBlobsResponse* rsp) {
+          [this](const rpc::Empty&, ListBlobsResponse* rsp) {
             auto b = core_->ListBlobs();
             if (!b.ok()) return b.status();
             rsp->blobs = std::move(b).ValueUnsafe();

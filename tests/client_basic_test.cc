@@ -2,6 +2,8 @@
 // embedded cluster: single-client semantics, versioning, page sharing.
 #include <gtest/gtest.h>
 
+#include <filesystem>
+
 #include "core/cluster.h"
 #include "reference_blob.h"
 
@@ -247,11 +249,20 @@ TEST_F(ClientBasicTest, WorksOverTcpLoopback) {
   EXPECT_EQ(out, want);
 }
 
-TEST_F(ClientBasicTest, FileBackedProvidersRoundTrip) {
+TEST_F(ClientBasicTest, UnknownPageStoreIsRejected) {
+  core::ClusterOptions opts;
+  opts.page_store = "file:" + ::testing::TempDir() + "/bs_cluster_pages";
+  EXPECT_TRUE(
+      core::EmbeddedCluster::Start(opts).status().IsInvalidArgument());
+}
+
+TEST_F(ClientBasicTest, LogBackedProvidersRoundTrip) {
+  const std::string dir = ::testing::TempDir() + "/bs_cluster_pages";
+  std::filesystem::remove_all(dir);
   core::ClusterOptions opts;
   opts.num_providers = 2;
   opts.num_meta = 2;
-  opts.page_store = "file:" + ::testing::TempDir() + "/bs_cluster_pages";
+  opts.page_store = "log:" + dir;
   auto cluster = core::EmbeddedCluster::Start(opts);
   ASSERT_TRUE(cluster.ok());
   auto client = (*cluster)->NewClient();

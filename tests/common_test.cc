@@ -1,9 +1,13 @@
 // Unit tests for the common substrate: Status/Result, Slice, serde, math,
-// hashing, RNG, string utilities, executors.
+// hashing, RNG, string utilities, executors, stats field lists, and the
+// bench JSON emitter built on them.
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cmath>
 #include <set>
+
+#include "bench_util.h"
 
 #include "common/executor.h"
 #include "common/hash.h"
@@ -12,6 +16,7 @@
 #include "common/result.h"
 #include "common/serde.h"
 #include "common/slice.h"
+#include "common/stats.h"
 #include "common/status.h"
 #include "common/string_util.h"
 #include "common/thread_pool.h"
@@ -320,6 +325,42 @@ TEST(ExecutorTest, EmptyBatchIsOk) {
   EXPECT_TRUE(ex.ParallelFor(0, 4, [](size_t) {
                   return Status::Internal("never");
                 }).ok());
+}
+
+struct TwoCounters {
+  uint64_t a = 0;
+  uint64_t b = 0;
+  static constexpr auto Fields() {
+    using S = TwoCounters;
+    return std::to_array<stats::Field<S>>({{"a", &S::a}, {"b", &S::b}});
+  }
+};
+
+TEST(StatsTest, AddSumsAndForEachVisitsEveryFieldInOrder) {
+  TwoCounters x{1, 2};
+  stats::Add(&x, TwoCounters{10, 20});
+  std::string seen;
+  stats::ForEach(x, [&seen](const char* name, uint64_t value) {
+    seen += std::string(name) + "=" + std::to_string(value) + " ";
+  });
+  EXPECT_EQ(seen, "a=11 b=22 ");
+  EXPECT_EQ(bench::StatsJson(x).Render(), R"({"a": 11, "b": 22})");
+}
+
+TEST(BenchJsonTest, NonFiniteNumbersAndControlCharactersStayValidJson) {
+  bench::JsonArray arr;
+  arr.AddDouble(std::nan(""));
+  arr.AddDouble(-INFINITY);
+  arr.AddDouble(1.5);
+  bench::JsonObject o;
+  o.PutDouble("nan", std::nan(""));
+  o.PutDouble("inf", INFINITY);
+  o.PutDouble("ninf", -INFINITY);
+  o.PutString("s", "a\nb\x01" "c\"");
+  o.PutArray("arr", arr);
+  EXPECT_EQ(o.Render(),
+            R"({"nan": null, "inf": null, "ninf": null, )"
+            R"("s": "a\nb\u0001c\"", "arr": [null, null, 1.5]})");
 }
 
 }  // namespace

@@ -204,10 +204,16 @@ TEST_F(DhtClientTest, TotalStatsAggregates) {
             .Wait()
             .ok());
   }
+  for (int i = 0; i < 20; i++) {
+    ASSERT_TRUE(
+        client.DeleteAsync(Slice("sk" + std::to_string(i))).Wait().ok());
+  }
   auto st = client.TotalStatsAsync().Wait();
   ASSERT_TRUE(st.ok());
-  EXPECT_EQ(st->keys, 50u);
-  EXPECT_GT(st->bytes, 500u);
+  EXPECT_EQ(st->keys, 30u);
+  EXPECT_GT(st->bytes, 300u);
+  EXPECT_EQ(st->puts, 50u);
+  EXPECT_EQ(st->deletes, 20u);
 }
 
 }  // namespace

@@ -5,14 +5,18 @@
 
 #include <thread>
 
+#include "client/blob_client.h"
 #include "common/random.h"
 #include "core/cluster.h"
 #include "dht/messages.h"
+#include "dht/store.h"
 #include "meta/node.h"
 #include "pmanager/messages.h"
 #include "provider/messages.h"
+#include "provider/page_store.h"
 #include "reference_blob.h"
 #include "rpc/call.h"
+#include "vmanager/core.h"
 #include "vmanager/messages.h"
 
 namespace blobseer {
@@ -31,9 +35,9 @@ void FuzzDecode(uint64_t seed, int iters) {
     std::string junk(len, '\0');
     for (auto& c : junk) c = static_cast<char>(rng.Next());
     Msg msg;
-    BinaryReader r{Slice(junk)};
-    // Must return (any status); must not crash or hang.
-    (void)msg.DecodeFrom(&r);
+    // The decode path of every client call: must return (any status); must
+    // not crash or hang.
+    (void)rpc::DecodePayload(Slice(junk), &msg);
   }
 }
 
@@ -54,6 +58,44 @@ TEST(FuzzDecodeTest, ProviderReadRequestSurvivesGarbage) {
 }
 TEST(FuzzDecodeTest, BlobDescriptorSurvivesGarbage) {
   FuzzDecode<BlobDescriptor>(6, 3000);
+}
+
+TEST(FuzzDecodeTest, StatsPayloadsSurviveGarbage) {
+  FuzzDecode<provider::PageStoreStats>(7, 3000);
+  FuzzDecode<dht::StoreStats>(8, 3000);
+  FuzzDecode<vmanager::VmStats>(9, 3000);
+  FuzzDecode<pmanager::PmStats>(10, 3000);
+  FuzzDecode<client::ClientStats>(11, 3000);
+}
+
+// A stats payload is one u64 per listed field, positional: it round-trips
+// exactly, and any shorter or longer payload is Corruption.
+template <typename S>
+void ExpectStatsCodecIsExact() {
+  S sent;
+  uint64_t next = 1;
+  for (const auto& field : S::Fields()) sent.*field.member = next++ << 40;
+  std::string bytes = rpc::EncodePayload(sent);
+  ASSERT_EQ(bytes.size(), 8 * S::Fields().size());
+  S got;
+  ASSERT_TRUE(rpc::DecodePayload(Slice(bytes), &got).ok());
+  EXPECT_EQ(rpc::EncodePayload(got), bytes);
+  for (size_t cut = 0; cut < bytes.size(); cut++) {
+    S partial;
+    EXPECT_TRUE(
+        rpc::DecodePayload(Slice(bytes.data(), cut), &partial).IsCorruption())
+        << "decoded from truncated prefix " << cut;
+  }
+  EXPECT_TRUE(rpc::DecodePayload(Slice(bytes + std::string(8, '\0')), &got)
+                  .IsCorruption());
+}
+
+TEST(FuzzDecodeTest, StatsPayloadsDecodeExactly) {
+  ExpectStatsCodecIsExact<provider::PageStoreStats>();
+  ExpectStatsCodecIsExact<dht::StoreStats>();
+  ExpectStatsCodecIsExact<vmanager::VmStats>();
+  ExpectStatsCodecIsExact<pmanager::PmStats>();
+  ExpectStatsCodecIsExact<client::ClientStats>();
 }
 
 // Truncation at every byte offset of a valid encoding must fail cleanly or
