@@ -43,8 +43,6 @@ struct SpaceConfig {
 };
 
 struct PassResult {
-  uint64_t pages = 0;
-  uint64_t live_bytes = 0;
   uint64_t meta_bytes = 0;
   provider::PageStoreStats store;  ///< summed over every provider
   lifecycle::GcStats gc;
@@ -112,19 +110,15 @@ bool RunOverwritePass(const SpaceConfig& cfg, bool retain, PassResult* out) {
         fprintf(stderr, "gc pass failed: %s\n", st.ToString().c_str());
         return false;
       }
-      uint64_t pages = 0, bytes = 0;
-      (void)(*cluster)->TotalProviderUsage(&pages, &bytes);
+      uint64_t pages = (*cluster)->TotalProviderUsage().pages;
       if (pages == before) break;  // quiescent
       before = pages;
     }
     out->gc = gc->GetStats();
   }
 
-  uint64_t meta_keys = 0;
-  (void)(*cluster)->TotalProviderUsage(&out->pages, &out->live_bytes);
-  (void)(*cluster)->TotalMetadataUsage(&meta_keys, &out->meta_bytes);
-  for (size_t i = 0; i < (*cluster)->num_providers(); i++)
-    stats::Add(&out->store, (*cluster)->provider(i).store().GetStats());
+  out->store = (*cluster)->TotalProviderUsage();
+  out->meta_bytes = (*cluster)->TotalMetadataUsage().bytes;
 
   // Every retained snapshot must still read back in full.
   std::string check;
@@ -165,8 +159,7 @@ bool RunDedupPass(const SpaceConfig& cfg, uint64_t* written_pages,
       *written_pages += cfg.pages_per_update;
     }
   }
-  uint64_t bytes = 0;
-  (void)(*cluster)->TotalProviderUsage(stored_pages, &bytes);
+  *stored_pages = (*cluster)->TotalProviderUsage().pages;
   *dedup_hits = (*client)->GetStats().dedup_hits;
 
   // Both blobs must read back the shared bytes exactly.
@@ -222,20 +215,20 @@ int main(int argc, char** argv) {
   if (!RunDedupPass(cfg, &written, &stored, &hits)) return 1;
   std::filesystem::remove_all(cfg.root);
 
-  const double ratio = baseline.live_bytes == 0
+  const double ratio = baseline.store.bytes == 0
                            ? 1.0
-                           : static_cast<double>(retained.live_bytes) /
-                                 static_cast<double>(baseline.live_bytes);
+                           : static_cast<double>(retained.store.bytes) /
+                                 static_cast<double>(baseline.store.bytes);
   const bool gc_gate = ratio <= 0.5;
   const bool dedup_gate = stored < written;
 
   bench::Table table({"pass", "pages", "live bytes", "meta bytes", "note"});
-  table.AddRow({"baseline (never delete)", std::to_string(baseline.pages),
-                HumanBytes(baseline.live_bytes),
+  table.AddRow({"baseline (never delete)", std::to_string(baseline.store.pages),
+                HumanBytes(baseline.store.bytes),
                 HumanBytes(baseline.meta_bytes), "all snapshots kept"});
   table.AddRow(
-      {"retention + GC + compaction", std::to_string(retained.pages),
-       HumanBytes(retained.live_bytes), HumanBytes(retained.meta_bytes),
+      {"retention + GC + compaction", std::to_string(retained.store.pages),
+       HumanBytes(retained.store.bytes), HumanBytes(retained.meta_bytes),
        StrFormat("%.2fx of baseline, %" PRIu64 " pages swept, %" PRIu64
                  " log compactions",
                  ratio, retained.gc.pages_swept, retained.store.compactions)});
@@ -258,12 +251,12 @@ int main(int argc, char** argv) {
   config.PutU64("pages_per_update", cfg.pages_per_update);
   config.PutU64("keep_last_k", cfg.keep_last_k);
   bench::JsonObject base_obj;
-  base_obj.PutU64("pages", baseline.pages);
-  base_obj.PutU64("live_bytes", baseline.live_bytes);
+  base_obj.PutU64("pages", baseline.store.pages);
+  base_obj.PutU64("live_bytes", baseline.store.bytes);
   base_obj.PutU64("meta_bytes", baseline.meta_bytes);
   bench::JsonObject gc_obj;
-  gc_obj.PutU64("pages", retained.pages);
-  gc_obj.PutU64("live_bytes", retained.live_bytes);
+  gc_obj.PutU64("pages", retained.store.pages);
+  gc_obj.PutU64("live_bytes", retained.store.bytes);
   gc_obj.PutU64("meta_bytes", retained.meta_bytes);
   gc_obj.PutU64("versions_discarded", retained.gc.versions_discarded);
   gc_obj.PutU64("pages_swept", retained.gc.pages_swept);

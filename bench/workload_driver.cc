@@ -303,7 +303,7 @@ bool RunRealMixed(const DriverConfig& cfg, const std::string& harness,
     blobseer::stats::Add(&st.client, clients[w]->GetStats());
   }
   st.elapsed_s = double(clock->NowMicros() - epoch) / 1e6;
-  (*cluster)->TotalProviderUsage(&st.store.pages, &st.store.bytes);
+  st.store = (*cluster)->TotalProviderUsage();
   blobseer::pmanager::ProviderManagerClient pm((*cluster)->transport(),
                                                (*cluster)->pmanager_address());
   auto pm_stats = pm.FetchStatsAsync().Wait();
@@ -405,9 +405,7 @@ bool RunSimMixed(const DriverConfig& cfg, Table* summary) {
       blobseer::stats::Add(&st.client, clients[w]->GetStats());
     }
     st.elapsed_s = double(cluster.clock().NowMicros() - epoch) / 1e6;
-    for (size_t i = 0; i < cfg.sim_providers; i++) {
-      blobseer::stats::Add(&st.store, cluster.provider(i).store().GetStats());
-    }
+    st.store = cluster.TotalProviderUsage();
     blobseer::pmanager::ProviderManagerClient pm(&cluster.transport(),
                                                  cluster.pm_address());
     auto pm_stats = pm.FetchStatsAsync().Wait(&cluster.executor());
@@ -612,9 +610,7 @@ bool RunScale(const DriverConfig& cfg, Table* summary) {
       blobseer::stats::Add(&st.client, clients[w]->GetStats());
     }
     st.elapsed_s = double(cluster.clock().NowMicros() - epoch) / 1e6;
-    for (size_t i = 0; i < cfg.scale_providers; i++) {
-      blobseer::stats::Add(&st.store, cluster.provider(i).store().GetStats());
-    }
+    st.store = cluster.TotalProviderUsage();
     blobseer::pmanager::ProviderManagerClient pm(&cluster.transport(),
                                                  cluster.pm_address());
     auto pm_stats = pm.FetchStatsAsync().Wait(&cluster.executor());

@@ -57,8 +57,7 @@ int main() {
          static_cast<unsigned long long>(kSamples),
          static_cast<unsigned long long>(*base), MeanAbs(signal));
 
-  uint64_t pages_before, bytes_before;
-  (void)(*cluster)->TotalProviderUsage(&pages_before, &bytes_before);
+  const uint64_t pages_before = (*cluster)->TotalProviderUsage().pages;
 
   // Three pipelines branch from the same snapshot and diverge in parallel.
   struct Pipeline {
@@ -134,8 +133,7 @@ int main() {
   if (!dataset.Read(*base, 0, kSamples, &check).ok()) return 1;
   printf("\noriginal snapshot intact: %s\n",
          check == signal ? "yes" : "NO (bug!)");
-  uint64_t pages_after, bytes_after;
-  (void)(*cluster)->TotalProviderUsage(&pages_after, &bytes_after);
+  const uint64_t pages_after = (*cluster)->TotalProviderUsage().pages;
   printf("storage: %llu pages before branching, %llu after three full "
          "rewrites\n(3 branches x %llu pages each would cost %llu more "
          "with copies)\n",

@@ -11,9 +11,11 @@ namespace blobseer::core {
 
 namespace {
 
+// nullptr for a spec other than memory, null and log:<dir>.
 std::unique_ptr<provider::PageStore> MakeStore(const ClusterOptions& options,
                                                size_t index) {
   const std::string& spec = options.page_store;
+  if (spec == "memory") return provider::MakeMemoryPageStore();
   if (spec == "null") return provider::MakeNullPageStore();
   if (StartsWith(spec, "log:")) {
     pagelog::LogPageStoreOptions lo;
@@ -24,7 +26,7 @@ std::unique_ptr<provider::PageStore> MakeStore(const ClusterOptions& options,
     return pagelog::MakeLogPageStore(
         StrFormat("%s/provider-%zu", spec.substr(4).c_str(), index), lo);
   }
-  return provider::MakeMemoryPageStore();
+  return nullptr;
 }
 
 }  // namespace
@@ -33,9 +35,6 @@ Result<std::unique_ptr<EmbeddedCluster>> EmbeddedCluster::Start(
     const ClusterOptions& options) {
   if (options.num_providers == 0 || options.num_meta == 0)
     return Status::InvalidArgument("cluster needs providers and meta nodes");
-  const std::string& spec = options.page_store;
-  if (spec != "memory" && spec != "null" && !StartsWith(spec, "log:"))
-    return Status::InvalidArgument("unknown page_store: " + spec);
 
   std::unique_ptr<EmbeddedCluster> c(new EmbeddedCluster());
   c->options_ = options;
@@ -94,7 +93,11 @@ Result<std::unique_ptr<EmbeddedCluster>> EmbeddedCluster::Start(
   if (workers > 0)
     c->hb_executor_ = std::make_unique<ThreadPoolExecutor>(workers);
   for (size_t i = 0; i < options.num_providers; i++) {
-    auto svc = std::make_shared<provider::ProviderService>(MakeStore(options, i));
+    auto store = MakeStore(options, i);
+    if (!store)
+      return Status::InvalidArgument("unknown page_store: " +
+                                     options.page_store);
+    auto svc = std::make_shared<provider::ProviderService>(std::move(store));
     auto addr =
         c->transport_->Serve(bind_addr(StrFormat("provider-%zu", i)), svc);
     if (!addr.ok()) return addr.status();
@@ -171,24 +174,18 @@ Result<std::unique_ptr<client::BlobClient>> EmbeddedCluster::NewClient(
       transport_, vm_address_, pm_address_, dht_addresses_, options);
 }
 
-Status EmbeddedCluster::TotalProviderUsage(uint64_t* pages,
-                                           uint64_t* bytes) const {
+provider::PageStoreStats EmbeddedCluster::TotalProviderUsage() const {
   provider::PageStoreStats total;
   for (const auto& svc : provider_services_)
     stats::Add(&total, svc->store().GetStats());
-  *pages = total.pages;
-  *bytes = total.bytes;
-  return Status::OK();
+  return total;
 }
 
-Status EmbeddedCluster::TotalMetadataUsage(uint64_t* keys,
-                                           uint64_t* bytes) const {
+dht::StoreStats EmbeddedCluster::TotalMetadataUsage() const {
   dht::StoreStats total;
   for (const auto& svc : dht_services_)
     stats::Add(&total, svc->store().GetStats());
-  *keys = total.keys;
-  *bytes = total.bytes;
-  return Status::OK();
+  return total;
 }
 
 Status EmbeddedCluster::StopProvider(size_t index) {

@@ -110,10 +110,10 @@ class EmbeddedCluster {
   size_t num_providers() const { return provider_services_.size(); }
   size_t num_meta() const { return dht_services_.size(); }
 
-  /// Aggregate physical storage across providers (space-overhead benches).
-  Status TotalProviderUsage(uint64_t* pages, uint64_t* bytes) const;
-  /// Aggregate metadata usage across DHT nodes.
-  Status TotalMetadataUsage(uint64_t* keys, uint64_t* bytes) const;
+  /// Page store stats summed across providers (space-overhead benches).
+  provider::PageStoreStats TotalProviderUsage() const;
+  /// Metadata store stats summed across DHT nodes.
+  dht::StoreStats TotalMetadataUsage() const;
 
   /// Kills one data provider endpoint (failure-injection tests); also
   /// silences its heartbeat sender, like a process death would.

@@ -157,6 +157,13 @@ std::unique_ptr<client::BlobClient> SimCluster::NewClient(
       clock_.get(), executor_.get());
 }
 
+provider::PageStoreStats SimCluster::TotalProviderUsage() const {
+  provider::PageStoreStats total;
+  for (const auto& svc : provider_services_)
+    stats::Add(&total, svc->store().GetStats());
+  return total;
+}
+
 Status SimCluster::StopProvider(size_t index) {
   if (index >= provider_addresses_.size())
     return Status::InvalidArgument("provider index");

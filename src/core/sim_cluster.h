@@ -102,6 +102,8 @@ class SimCluster {
   provider::ProviderService& provider(size_t i) {
     return *provider_services_[i];
   }
+  /// Page store stats summed across providers.
+  provider::PageStoreStats TotalProviderUsage() const;
 
   const std::string& vm_address() const { return vm_address_; }
   const std::string& pm_address() const { return pm_address_; }

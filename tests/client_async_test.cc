@@ -161,10 +161,9 @@ TEST_F(ClientAsyncTest, FailedAsyncWriteLeaksNothing) {
   std::string data = TestPayload(2, 10);
   auto bad = client_->WriteAsync(*id, data, 100).Wait(client_->executor());
   EXPECT_TRUE(bad.status().IsOutOfRange());
-  uint64_t pages, bytes;
-  ASSERT_TRUE(cluster_->TotalProviderUsage(&pages, &bytes).ok());
-  EXPECT_EQ(pages, 1u);
-  EXPECT_EQ(bytes, 64u);
+  provider::PageStoreStats usage = cluster_->TotalProviderUsage();
+  EXPECT_EQ(usage.pages, 1u);
+  EXPECT_EQ(usage.bytes, 64u);
   // The version chain is unharmed.
   EXPECT_TRUE(blob.AppendSync(TestPayload(3, 10)).ok());
 }

@@ -118,10 +118,9 @@ TEST_F(ClientBasicTest, WriteBeyondEndFailsAndLeaksNothing) {
   auto bad = blob.Write(TestPayload(2, 10), 100);
   EXPECT_TRUE(bad.status().IsOutOfRange());
   // The rejected write's pre-stored pages were garbage-collected.
-  uint64_t pages, bytes;
-  ASSERT_TRUE(cluster_->TotalProviderUsage(&pages, &bytes).ok());
-  EXPECT_EQ(pages, 1u);
-  EXPECT_EQ(bytes, 64u);
+  provider::PageStoreStats usage = cluster_->TotalProviderUsage();
+  EXPECT_EQ(usage.pages, 1u);
+  EXPECT_EQ(usage.bytes, 64u);
   // The version chain is unharmed.
   auto v = blob.AppendSync(TestPayload(3, 10));
   ASSERT_TRUE(v.ok());
@@ -149,14 +148,12 @@ TEST_F(ClientBasicTest, UnmodifiedPagesArePhysicallyShared) {
   // 8 pages, then overwrite one page; only 1 new page is stored (paper
   // section 4.3, "efficient use of storage space").
   ASSERT_TRUE(blob.AppendSync(TestPayload(1, 512)).ok());
-  uint64_t pages0, bytes0;
-  ASSERT_TRUE(cluster_->TotalProviderUsage(&pages0, &bytes0).ok());
-  EXPECT_EQ(pages0, 8u);
+  provider::PageStoreStats usage0 = cluster_->TotalProviderUsage();
+  EXPECT_EQ(usage0.pages, 8u);
   ASSERT_TRUE(blob.WriteSync(TestPayload(2, 64), 128).ok());
-  uint64_t pages1, bytes1;
-  ASSERT_TRUE(cluster_->TotalProviderUsage(&pages1, &bytes1).ok());
-  EXPECT_EQ(pages1, 9u);
-  EXPECT_EQ(bytes1 - bytes0, 64u);
+  provider::PageStoreStats usage1 = cluster_->TotalProviderUsage();
+  EXPECT_EQ(usage1.pages, 9u);
+  EXPECT_EQ(usage1.bytes - usage0.bytes, 64u);
   // Both versions still read correctly.
   std::string v1, v2;
   ASSERT_TRUE(blob.Read(1, 0, 512, &v1).ok());

@@ -102,24 +102,19 @@ TEST_F(BranchTest, BranchIsCheap) {
   Blob blob(client_.get(), *id);
   ASSERT_TRUE(blob.AppendSync(TestPayload(0, 64 * 32)).ok());  // 32 pages
 
-  uint64_t pages_before, bytes_before, keys_before, mbytes_before;
-  ASSERT_TRUE(cluster_->TotalProviderUsage(&pages_before, &bytes_before).ok());
-  ASSERT_TRUE(cluster_->TotalMetadataUsage(&keys_before, &mbytes_before).ok());
+  const uint64_t pages_before = cluster_->TotalProviderUsage().pages;
+  const uint64_t keys_before = cluster_->TotalMetadataUsage().keys;
 
   auto branch = blob.Branch(1);
   ASSERT_TRUE(branch.ok());
 
   // Branching allocated no pages and wrote no metadata (O(1) in data size).
-  uint64_t pages_after, bytes_after, keys_after, mbytes_after;
-  ASSERT_TRUE(cluster_->TotalProviderUsage(&pages_after, &bytes_after).ok());
-  ASSERT_TRUE(cluster_->TotalMetadataUsage(&keys_after, &mbytes_after).ok());
-  EXPECT_EQ(pages_before, pages_after);
-  EXPECT_EQ(keys_before, keys_after);
+  EXPECT_EQ(cluster_->TotalProviderUsage().pages, pages_before);
+  EXPECT_EQ(cluster_->TotalMetadataUsage().keys, keys_before);
 
   // A one-page branch write shares all other pages with the parent.
   ASSERT_TRUE(branch->WriteSync(TestPayload(1, 64), 0).ok());
-  ASSERT_TRUE(cluster_->TotalProviderUsage(&pages_after, &bytes_after).ok());
-  EXPECT_EQ(pages_after, pages_before + 1);
+  EXPECT_EQ(cluster_->TotalProviderUsage().pages, pages_before + 1);
 }
 
 TEST_F(BranchTest, NestedBranches) {

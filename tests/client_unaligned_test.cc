@@ -48,9 +48,7 @@ TEST_F(UnalignedTest, SubPageWritePreservesNeighbours) {
   want.replace(10, 10, patch);
   EXPECT_EQ(out, want);
   // The sub-page write stored only its own bytes.
-  uint64_t pages, bytes;
-  ASSERT_TRUE(cluster_->TotalProviderUsage(&pages, &bytes).ok());
-  EXPECT_EQ(bytes, 64u + 10u);
+  EXPECT_EQ(cluster_->TotalProviderUsage().bytes, 64u + 10u);
 }
 
 TEST_F(UnalignedTest, WriteSpanningPagesWithRaggedEdges) {

@@ -256,11 +256,7 @@ class LifecycleGcTest : public ::testing::Test {
         cluster_->transport(), cluster_->vmanager_address());
   }
 
-  uint64_t ProviderPages() {
-    uint64_t pages = 0, bytes = 0;
-    EXPECT_TRUE(cluster_->TotalProviderUsage(&pages, &bytes).ok());
-    return pages;
-  }
+  uint64_t ProviderPages() { return cluster_->TotalProviderUsage().pages; }
 
   std::unique_ptr<core::EmbeddedCluster> cluster_;
   std::unique_ptr<BlobClient> client_;

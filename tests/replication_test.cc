@@ -371,10 +371,9 @@ TEST(ReplicationClusterTest, FailedReplicatedWriteDeletesAllIncarnations) {
   std::string payload = TestPayload(0, 256);
   auto v = (*client)->Write(*id, Slice(payload), 0);
   ASSERT_TRUE(v.status().IsUnavailable()) << v.status().ToString();
-  uint64_t pages = 0, bytes = 0;
-  ASSERT_TRUE((*cluster)->TotalProviderUsage(&pages, &bytes).ok());
-  EXPECT_EQ(pages, 0u);
-  EXPECT_EQ(bytes, 0u);
+  provider::PageStoreStats usage = (*cluster)->TotalProviderUsage();
+  EXPECT_EQ(usage.pages, 0u);
+  EXPECT_EQ(usage.bytes, 0u);
 }
 
 TEST(ReplicationClusterTest, InflightWindowBoundsReplicatedWrites) {
