@@ -35,6 +35,93 @@ struct PageRef {
   }
 };
 
+// Wire messages of the four kCentral* methods.
+
+struct CreateRequest {
+  uint64_t psize = 0;
+  void EncodeTo(BinaryWriter* w) const { w->PutU64(psize); }
+  Status DecodeFrom(BinaryReader* r) { return r->GetU64(&psize); }
+};
+struct CreateResponse {
+  BlobId id = kInvalidBlobId;
+  void EncodeTo(BinaryWriter* w) const { w->PutU64(id); }
+  Status DecodeFrom(BinaryReader* r) { return r->GetU64(&id); }
+};
+
+struct UpdateRequest {
+  BlobId id = kInvalidBlobId;
+  uint64_t first_page = 0;
+  uint64_t new_size = 0;
+  std::vector<PageRef> refs;
+  void EncodeTo(BinaryWriter* w) const {
+    w->PutU64(id);
+    w->PutU64(first_page);
+    w->PutU64(new_size);
+    PutVector(w, refs);
+  }
+  Status DecodeFrom(BinaryReader* r) {
+    BS_RETURN_NOT_OK(r->GetU64(&id));
+    BS_RETURN_NOT_OK(r->GetU64(&first_page));
+    BS_RETURN_NOT_OK(r->GetU64(&new_size));
+    return GetVector(r, &refs);
+  }
+};
+struct UpdateResponse {
+  uint64_t version = 0;
+  uint64_t new_size = 0;
+  void EncodeTo(BinaryWriter* w) const {
+    w->PutU64(version);
+    w->PutU64(new_size);
+  }
+  Status DecodeFrom(BinaryReader* r) {
+    BS_RETURN_NOT_OK(r->GetU64(&version));
+    return r->GetU64(&new_size);
+  }
+};
+
+struct LayoutRequest {
+  BlobId id = kInvalidBlobId;
+  Version version = 0;
+  uint64_t first_page = 0;
+  uint64_t num_pages = 0;
+  void EncodeTo(BinaryWriter* w) const {
+    w->PutU64(id);
+    w->PutU64(version);
+    w->PutU64(first_page);
+    w->PutU64(num_pages);
+  }
+  Status DecodeFrom(BinaryReader* r) {
+    BS_RETURN_NOT_OK(r->GetU64(&id));
+    BS_RETURN_NOT_OK(r->GetU64(&version));
+    BS_RETURN_NOT_OK(r->GetU64(&first_page));
+    return r->GetU64(&num_pages);
+  }
+};
+struct LayoutResponse {
+  std::vector<PageRef> refs;
+  void EncodeTo(BinaryWriter* w) const { PutVector(w, refs); }
+  Status DecodeFrom(BinaryReader* r) { return GetVector(r, &refs); }
+};
+
+struct RecentRequest {
+  BlobId id = kInvalidBlobId;
+  void EncodeTo(BinaryWriter* w) const { w->PutU64(id); }
+  Status DecodeFrom(BinaryReader* r) { return r->GetU64(&id); }
+};
+struct RecentResponse {
+  uint64_t version = 0;
+  uint64_t size = 0;
+  void EncodeTo(BinaryWriter* w) const {
+    w->PutU64(version);
+    w->PutU64(size);
+  }
+  Status DecodeFrom(BinaryReader* r) {
+    BS_RETURN_NOT_OK(r->GetU64(&version));
+    return r->GetU64(&size);
+  }
+};
+
+
 struct CentralUpdateResult {
   Version version = 0;
   uint64_t new_size = 0;
