@@ -115,14 +115,17 @@ std::vector<double> RunCentral(const std::vector<size_t>& writer_counts,
     if (!cluster.transport().Serve(central_addr, central).ok()) return;
 
     baseline::CentralMetaClient meta(&cluster.transport(), central_addr);
-    auto id = meta.Create(kPsize);
+    auto id = meta.CreateAsync(kPsize).Wait(&cluster.executor());
     if (!id.ok()) return;
     {
       std::vector<baseline::PageRef> init(blob_pages);
       for (uint64_t p = 0; p < blob_pages; p++) {
         init[p] = baseline::PageRef{PageId{1, p}, ProviderId(p % 16)};
       }
-      if (!meta.Update(*id, 0, init, blob_pages * kPsize).ok()) return;
+      if (!meta.UpdateAsync(*id, 0, std::move(init), blob_pages * kPsize)
+               .Wait(&cluster.executor())
+               .ok())
+        return;
     }
     for (size_t phase = 0; phase < writer_counts.size(); phase++) {
       size_t writers = writer_counts[phase];
@@ -144,8 +147,9 @@ std::vector<double> RunCentral(const std::vector<size_t>& writer_counts,
                      .Wait(&cluster.executor())
                      .ok())
               return;
-            if (!m.Update(*id, page, {{pid, ProviderId(page % 16)}},
-                          blob_pages * kPsize)
+            if (!m.UpdateAsync(*id, page, {{pid, ProviderId(page % 16)}},
+                               blob_pages * kPsize)
+                     .Wait(&cluster.executor())
                      .ok())
               return;
           }

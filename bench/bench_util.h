@@ -212,7 +212,7 @@ class JsonObject {
 };
 
 /// One field per counter of a stats struct (common/stats.h), in list order.
-template <stats::Struct S>
+template <serde::Record S>
 JsonObject StatsJson(const S& s) {
   JsonObject o;
   stats::ForEach(s, [&o](const char* name, uint64_t value) {

@@ -99,56 +99,43 @@ CentralMetaClient::CentralMetaClient(rpc::Transport* transport,
                                      std::string address, size_t channels)
     : address_(std::move(address)), pool_(transport, channels) {}
 
-Result<BlobId> CentralMetaClient::Create(uint64_t psize) {
+template <typename Rsp, typename Req>
+Future<Rsp> CentralMetaClient::Call(rpc::Method method, const Req& req) {
   auto ch = pool_.Get(address_);
-  if (!ch.ok()) return ch.status();
-  CreateRequest req{psize};
-  CreateResponse rsp;
-  BS_RETURN_NOT_OK(
-      rpc::CallMethod(ch->get(), rpc::Method::kCentralCreate, req, &rsp));
-  return rsp.id;
+  if (!ch.ok()) return MakeReadyFuture<Rsp>(ch.status());
+  return rpc::CallMethodAsync<Req, Rsp>(ch->get(), method, req);
 }
 
-Result<CentralUpdateResult> CentralMetaClient::Update(
-    BlobId id, uint64_t first_page, const std::vector<PageRef>& refs,
+Future<BlobId> CentralMetaClient::CreateAsync(uint64_t psize) {
+  return Call<CreateResponse>(rpc::Method::kCentralCreate,
+                              CreateRequest{psize})
+      .Then([](Result<CreateResponse> rsp) -> Result<BlobId> {
+        if (!rsp.ok()) return rsp.status();
+        return rsp->id;
+      });
+}
+
+Future<UpdateResponse> CentralMetaClient::UpdateAsync(
+    BlobId id, uint64_t first_page, std::vector<PageRef> refs,
     uint64_t new_size) {
-  auto ch = pool_.Get(address_);
-  if (!ch.ok()) return ch.status();
-  UpdateRequest req;
-  req.id = id;
-  req.first_page = first_page;
-  req.new_size = new_size;
-  req.refs = refs;
-  UpdateResponse rsp;
-  BS_RETURN_NOT_OK(
-      rpc::CallMethod(ch->get(), rpc::Method::kCentralUpdate, req, &rsp));
-  return CentralUpdateResult{rsp.version, rsp.new_size};
+  return Call<UpdateResponse>(
+      rpc::Method::kCentralUpdate,
+      UpdateRequest{id, first_page, new_size, std::move(refs)});
 }
 
-Result<std::vector<PageRef>> CentralMetaClient::GetLayout(BlobId id,
-                                                          Version version,
-                                                          uint64_t first_page,
-                                                          uint64_t num_pages) {
-  auto ch = pool_.Get(address_);
-  if (!ch.ok()) return ch.status();
-  LayoutRequest req{id, version, first_page, num_pages};
-  LayoutResponse rsp;
-  BS_RETURN_NOT_OK(
-      rpc::CallMethod(ch->get(), rpc::Method::kCentralGetLayout, req, &rsp));
-  return std::move(rsp.refs);
+Future<std::vector<PageRef>> CentralMetaClient::GetLayoutAsync(
+    BlobId id, Version version, uint64_t first_page, uint64_t num_pages) {
+  return Call<LayoutResponse>(rpc::Method::kCentralGetLayout,
+                              LayoutRequest{id, version, first_page, num_pages})
+      .Then([](Result<LayoutResponse> rsp) -> Result<std::vector<PageRef>> {
+        if (!rsp.ok()) return rsp.status();
+        return std::move(rsp->refs);
+      });
 }
 
-Status CentralMetaClient::GetRecent(BlobId id, Version* version,
-                                    uint64_t* size) {
-  auto ch = pool_.Get(address_);
-  if (!ch.ok()) return ch.status();
-  RecentRequest req{id};
-  RecentResponse rsp;
-  BS_RETURN_NOT_OK(
-      rpc::CallMethod(ch->get(), rpc::Method::kCentralGetRecent, req, &rsp));
-  *version = rsp.version;
-  *size = rsp.size;
-  return Status::OK();
+Future<RecentResponse> CentralMetaClient::GetRecentAsync(BlobId id) {
+  return Call<RecentResponse>(rpc::Method::kCentralGetRecent,
+                              RecentRequest{id});
 }
 
 }  // namespace blobseer::baseline

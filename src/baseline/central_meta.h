@@ -12,6 +12,7 @@
 #include <string>
 #include <vector>
 
+#include "common/future.h"
 #include "common/result.h"
 #include "common/serde.h"
 #include "common/types.h"
@@ -24,28 +25,18 @@ namespace blobseer::baseline {
 struct PageRef {
   PageId pid;
   ProviderId provider = kInvalidProvider;
-
-  void EncodeTo(BinaryWriter* w) const {
-    w->PutPageId(pid);
-    w->PutU32(provider);
-  }
-  Status DecodeFrom(BinaryReader* r) {
-    BS_RETURN_NOT_OK(r->GetPageId(&pid));
-    return r->GetU32(&provider);
-  }
+  BS_FIELDS(PageRef, pid, provider)
 };
 
 // Wire messages of the four kCentral* methods.
 
 struct CreateRequest {
   uint64_t psize = 0;
-  void EncodeTo(BinaryWriter* w) const { w->PutU64(psize); }
-  Status DecodeFrom(BinaryReader* r) { return r->GetU64(&psize); }
+  BS_FIELDS(CreateRequest, psize)
 };
 struct CreateResponse {
   BlobId id = kInvalidBlobId;
-  void EncodeTo(BinaryWriter* w) const { w->PutU64(id); }
-  Status DecodeFrom(BinaryReader* r) { return r->GetU64(&id); }
+  BS_FIELDS(CreateResponse, id)
 };
 
 struct UpdateRequest {
@@ -53,30 +44,12 @@ struct UpdateRequest {
   uint64_t first_page = 0;
   uint64_t new_size = 0;
   std::vector<PageRef> refs;
-  void EncodeTo(BinaryWriter* w) const {
-    w->PutU64(id);
-    w->PutU64(first_page);
-    w->PutU64(new_size);
-    PutVector(w, refs);
-  }
-  Status DecodeFrom(BinaryReader* r) {
-    BS_RETURN_NOT_OK(r->GetU64(&id));
-    BS_RETURN_NOT_OK(r->GetU64(&first_page));
-    BS_RETURN_NOT_OK(r->GetU64(&new_size));
-    return GetVector(r, &refs);
-  }
+  BS_FIELDS(UpdateRequest, id, first_page, new_size, refs)
 };
 struct UpdateResponse {
   uint64_t version = 0;
   uint64_t new_size = 0;
-  void EncodeTo(BinaryWriter* w) const {
-    w->PutU64(version);
-    w->PutU64(new_size);
-  }
-  Status DecodeFrom(BinaryReader* r) {
-    BS_RETURN_NOT_OK(r->GetU64(&version));
-    return r->GetU64(&new_size);
-  }
+  BS_FIELDS(UpdateResponse, version, new_size)
 };
 
 struct LayoutRequest {
@@ -84,48 +57,23 @@ struct LayoutRequest {
   Version version = 0;
   uint64_t first_page = 0;
   uint64_t num_pages = 0;
-  void EncodeTo(BinaryWriter* w) const {
-    w->PutU64(id);
-    w->PutU64(version);
-    w->PutU64(first_page);
-    w->PutU64(num_pages);
-  }
-  Status DecodeFrom(BinaryReader* r) {
-    BS_RETURN_NOT_OK(r->GetU64(&id));
-    BS_RETURN_NOT_OK(r->GetU64(&version));
-    BS_RETURN_NOT_OK(r->GetU64(&first_page));
-    return r->GetU64(&num_pages);
-  }
+  BS_FIELDS(LayoutRequest, id, version, first_page, num_pages)
 };
 struct LayoutResponse {
   std::vector<PageRef> refs;
-  void EncodeTo(BinaryWriter* w) const { PutVector(w, refs); }
-  Status DecodeFrom(BinaryReader* r) { return GetVector(r, &refs); }
+  BS_FIELDS(LayoutResponse, refs)
 };
 
 struct RecentRequest {
   BlobId id = kInvalidBlobId;
-  void EncodeTo(BinaryWriter* w) const { w->PutU64(id); }
-  Status DecodeFrom(BinaryReader* r) { return r->GetU64(&id); }
+  BS_FIELDS(RecentRequest, id)
 };
 struct RecentResponse {
   uint64_t version = 0;
   uint64_t size = 0;
-  void EncodeTo(BinaryWriter* w) const {
-    w->PutU64(version);
-    w->PutU64(size);
-  }
-  Status DecodeFrom(BinaryReader* r) {
-    BS_RETURN_NOT_OK(r->GetU64(&version));
-    return r->GetU64(&size);
-  }
+  BS_FIELDS(RecentResponse, version, size)
 };
 
-
-struct CentralUpdateResult {
-  Version version = 0;
-  uint64_t new_size = 0;
-};
 
 struct CentralMetaStats {
   uint64_t blobs = 0;
@@ -166,25 +114,28 @@ class CentralMetaService : public rpc::ServiceHandler {
   uint64_t total_versions_ = 0;
 };
 
-/// Client for the baseline service.
+/// Client for the baseline service. Every call is asynchronous.
 class CentralMetaClient {
  public:
   CentralMetaClient(rpc::Transport* transport, std::string address,
                     size_t channels = 8);
 
-  Result<BlobId> Create(uint64_t psize);
+  Future<BlobId> CreateAsync(uint64_t psize);
   /// Registers an aligned update covering pages [first_page,
-  /// first_page+refs.size()): returns the new version.
-  Result<CentralUpdateResult> Update(BlobId id, uint64_t first_page,
-                                     const std::vector<PageRef>& refs,
+  /// first_page+refs.size()): resolves to the new version and blob size.
+  Future<UpdateResponse> UpdateAsync(BlobId id, uint64_t first_page,
+                                     std::vector<PageRef> refs,
                                      uint64_t new_size);
   /// Page refs covering the aligned range of a version.
-  Result<std::vector<PageRef>> GetLayout(BlobId id, Version version,
-                                         uint64_t first_page,
-                                         uint64_t num_pages);
-  Status GetRecent(BlobId id, Version* version, uint64_t* size);
+  Future<std::vector<PageRef>> GetLayoutAsync(BlobId id, Version version,
+                                              uint64_t first_page,
+                                              uint64_t num_pages);
+  Future<RecentResponse> GetRecentAsync(BlobId id);
 
  private:
+  template <typename Rsp, typename Req>
+  Future<Rsp> Call(rpc::Method method, const Req& req);
+
   std::string address_;
   rpc::ChannelPool pool_;
 };

@@ -98,25 +98,10 @@ struct ClientStats {
   /// Pages adopted through the content-hash index instead of stored.
   uint64_t dedup_hits = 0;
 
-  static constexpr auto Fields() {
-    using S = ClientStats;
-    return std::to_array<stats::Field<S>>(
-        {{"writes", &S::writes},
-         {"appends", &S::appends},
-         {"reads", &S::reads},
-         {"bytes_written", &S::bytes_written},
-         {"bytes_read", &S::bytes_read},
-         {"pages_stored", &S::pages_stored},
-         {"meta_nodes_written", &S::meta_nodes_written},
-         {"compactions", &S::compactions},
-         {"repairs", &S::repairs},
-         {"failover_reads", &S::failover_reads},
-         {"read_repairs", &S::read_repairs},
-         {"degraded_writes", &S::degraded_writes},
-         {"locations_published", &S::locations_published},
-         {"location_refreshes", &S::location_refreshes},
-         {"dedup_hits", &S::dedup_hits}});
-  }
+  BS_FIELDS(ClientStats, writes, appends, reads, bytes_written, bytes_read,
+            pages_stored, meta_nodes_written, compactions, repairs,
+            failover_reads, read_repairs, degraded_writes, locations_published,
+            location_refreshes, dedup_hits)
 };
 
 /// One BlobSeer client process. Thread-safe: concurrent operations on the

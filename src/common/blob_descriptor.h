@@ -25,14 +25,7 @@ struct AncestrySegment {
   friend bool operator==(const AncestrySegment&,
                          const AncestrySegment&) = default;
 
-  void EncodeTo(BinaryWriter* w) const {
-    w->PutU64(origin);
-    w->PutU64(up_to);
-  }
-  Status DecodeFrom(BinaryReader* r) {
-    BS_RETURN_NOT_OK(r->GetU64(&origin));
-    return r->GetU64(&up_to);
-  }
+  BS_FIELDS(AncestrySegment, origin, up_to)
 };
 
 /// Maps a version number to the blob that owns (created) it. Metadata node
@@ -75,16 +68,7 @@ struct BlobDescriptor {
 
   BranchAncestry Ancestry() const { return BranchAncestry(ancestry); }
 
-  void EncodeTo(BinaryWriter* w) const {
-    w->PutU64(id);
-    w->PutU64(psize);
-    PutVector(w, ancestry);
-  }
-  Status DecodeFrom(BinaryReader* r) {
-    BS_RETURN_NOT_OK(r->GetU64(&id));
-    BS_RETURN_NOT_OK(r->GetU64(&psize));
-    return GetVector(r, &ancestry);
-  }
+  BS_FIELDS(BlobDescriptor, id, psize, ancestry)
 };
 
 }  // namespace blobseer

@@ -3,30 +3,35 @@
 #include <algorithm>
 
 #include "common/logging.h"
+#include "common/stats.h"
 #include "common/string_util.h"
-#include "pagelog/log_page_store.h"
 #include "pmanager/client.h"
 
 namespace blobseer::core {
 
-namespace {
-
-// nullptr for a spec other than memory, null and log:<dir>.
-std::unique_ptr<provider::PageStore> MakeStore(const ClusterOptions& options,
-                                               size_t index) {
-  const std::string& spec = options.page_store;
+std::unique_ptr<provider::PageStore> MakePageStore(
+    const std::string& spec, const pagelog::LogPageStoreOptions& log) {
   if (spec == "memory") return provider::MakeMemoryPageStore();
   if (spec == "null") return provider::MakeNullPageStore();
-  if (StartsWith(spec, "log:")) {
-    pagelog::LogPageStoreOptions lo;
-    lo.compact_dead_ratio = options.log_compact_dead_ratio;
-    lo.io_backend = options.io_backend;
-    if (options.log_segment_target_bytes > 0)
-      lo.segment_target_bytes = options.log_segment_target_bytes;
-    return pagelog::MakeLogPageStore(
-        StrFormat("%s/provider-%zu", spec.substr(4).c_str(), index), lo);
-  }
+  if (StartsWith(spec, "log:"))
+    return pagelog::MakeLogPageStore(spec.substr(4), log);
   return nullptr;
+}
+
+namespace {
+
+// Provider `index`'s store; a "log:" store gets its own provider-N
+// subdirectory. nullptr for an unknown spec.
+std::unique_ptr<provider::PageStore> MakeStore(const ClusterOptions& options,
+                                               size_t index) {
+  pagelog::LogPageStoreOptions lo;
+  lo.compact_dead_ratio = options.log_compact_dead_ratio;
+  lo.io_backend = options.io_backend;
+  if (options.log_segment_target_bytes > 0)
+    lo.segment_target_bytes = options.log_segment_target_bytes;
+  std::string spec = options.page_store;
+  if (StartsWith(spec, "log:")) spec += StrFormat("/provider-%zu", index);
+  return MakePageStore(spec, lo);
 }
 
 }  // namespace

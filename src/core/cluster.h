@@ -15,6 +15,7 @@
 #include "common/executor.h"
 #include "common/result.h"
 #include "dht/service.h"
+#include "pagelog/log_page_store.h"
 #include "pmanager/client.h"
 #include "pmanager/service.h"
 #include "provider/service.h"
@@ -23,6 +24,12 @@
 #include "vmanager/service.h"
 
 namespace blobseer::core {
+
+/// The page store a provider runs, by spec: "memory", "null", or
+/// "log:<dir>" (a log-structured store in <dir>, configured by `log`).
+/// nullptr for any other spec.
+std::unique_ptr<provider::PageStore> MakePageStore(
+    const std::string& spec, const pagelog::LogPageStoreOptions& log = {});
 
 struct ClusterOptions {
   size_t num_providers = 4;

@@ -3,7 +3,9 @@
 #include <algorithm>
 
 #include "common/logging.h"
+#include "common/stats.h"
 #include "common/string_util.h"
+#include "core/cluster.h"
 #include "pmanager/client.h"
 
 namespace blobseer::core {
@@ -57,9 +59,12 @@ SimCluster::SimCluster(simnet::SimScheduler* sched,
       dht_addresses_.push_back(std::move(dht_addr));
     }
 
-    auto prov_svc = std::make_shared<provider::ProviderService>(
-        options.page_store == "memory" ? provider::MakeMemoryPageStore()
-                                       : provider::MakeNullPageStore());
+    std::string spec = options.page_store;
+    if (StartsWith(spec, "log:")) spec += StrFormat("/provider-%zu", i);
+    auto store = MakePageStore(spec);
+    BS_CHECK(store != nullptr) << "unknown page_store: " << spec;
+    auto prov_svc =
+        std::make_shared<provider::ProviderService>(std::move(store));
     std::string prov_addr =
         simnet::SimTransport::MakeAddress(node, "provider");
     transport_->SetServiceProfile(prov_addr, provider_profile);

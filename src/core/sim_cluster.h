@@ -40,6 +40,8 @@ struct SimClusterOptions {
   size_t provider_concurrency = 1;
   double dht_cpu_us = 40.0;
   double manager_cpu_us = 20.0;
+  /// "null", "memory" or "log:<directory>" (each provider gets a
+  /// provider-N subdirectory), as for ClusterOptions; others are fatal.
   std::string page_store = "null";
   std::string allocation = "round_robin";
   /// Page replica count applied to clients built via NewClient.

@@ -1,6 +1,7 @@
 #include "dht/client.h"
 
 #include "common/logging.h"
+#include "common/stats.h"
 
 namespace blobseer::dht {
 

@@ -9,8 +9,8 @@
 #include <unordered_map>
 #include <vector>
 
+#include "common/serde.h"
 #include "common/slice.h"
-#include "common/stats.h"
 #include "common/status.h"
 
 namespace blobseer::dht {
@@ -23,16 +23,7 @@ struct StoreStats {
   uint64_t hits = 0;
   uint64_t deletes = 0;
 
-  static constexpr auto Fields() {
-    using S = StoreStats;
-    return std::to_array<stats::Field<S>>(
-        {{"keys", &S::keys},
-         {"bytes", &S::bytes},
-         {"puts", &S::puts},
-         {"gets", &S::gets},
-         {"hits", &S::hits},
-         {"deletes", &S::deletes}});
-  }
+  BS_FIELDS(StoreStats, keys, bytes, puts, gets, hits, deletes)
 };
 
 /// Thread-safe hash map sharded by key hash to reduce lock contention under

@@ -58,16 +58,12 @@ inline std::string HashKey(const ContentHash& h) { return HashKey(h.hi, h.lo); }
 
 /// Value stored under an 'H' key: the PageId holding the bytes.
 inline std::string EncodeHashTarget(const PageId& pid) {
-  BinaryWriter w;
-  w.PutPageId(pid);
-  return std::move(w).TakeBuffer();
+  return EncodePayload(pid);
 }
 
 inline Result<PageId> DecodeHashTarget(const std::string& bytes) {
-  BinaryReader r{Slice(bytes)};
   PageId pid;
-  BS_RETURN_NOT_OK(r.GetPageId(&pid));
-  BS_RETURN_NOT_OK(r.ExpectEnd());
+  BS_RETURN_NOT_OK(DecodePayload(Slice(bytes), &pid));
   if (!pid.valid()) return Status::Corruption("hash target pid invalid");
   return pid;
 }

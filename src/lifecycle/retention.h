@@ -36,14 +36,7 @@ struct RetentionPolicy {
   /// A disabled policy retains everything.
   bool enabled() const { return keep_last_k != 0 || keep_younger_than_us != 0; }
 
-  void EncodeTo(BinaryWriter* w) const {
-    w->PutU32(keep_last_k);
-    w->PutU64(keep_younger_than_us);
-  }
-  Status DecodeFrom(BinaryReader* r) {
-    BS_RETURN_NOT_OK(r->GetU32(&keep_last_k));
-    return r->GetU64(&keep_younger_than_us);
-  }
+  BS_FIELDS(RetentionPolicy, keep_last_k, keep_younger_than_us)
 };
 
 /// Everything the evaluator needs to know about one version. The version

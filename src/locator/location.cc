@@ -11,34 +11,6 @@ std::string LocationKey(const PageId& pid) {
   return std::move(w).TakeBuffer();
 }
 
-void LocationEntry::EncodeTo(BinaryWriter* w) const {
-  w->PutU64(epoch);
-  w->PutU32(static_cast<uint32_t>(providers.size()));
-  for (ProviderId p : providers) w->PutU32(p);
-  w->PutU32(refs);
-  w->PutU64(hash_hi);
-  w->PutU64(hash_lo);
-}
-
-Status LocationEntry::DecodeFrom(BinaryReader* r) {
-  BS_RETURN_NOT_OK(r->GetU64(&epoch));
-  uint32_t n = 0;
-  BS_RETURN_NOT_OK(r->GetU32(&n));
-  if (static_cast<uint64_t>(n) * 4 > r->remaining())
-    return Status::Corruption("location replica count exceeds payload");
-  providers.resize(n);
-  for (auto& p : providers) BS_RETURN_NOT_OK(r->GetU32(&p));
-  // Gated trailing decode: entries written before the lifecycle subsystem
-  // end here and imply one reference and no content hash.
-  refs = 1;
-  hash_hi = 0;
-  hash_lo = 0;
-  if (r->remaining() == 0) return Status::OK();
-  BS_RETURN_NOT_OK(r->GetU32(&refs));
-  BS_RETURN_NOT_OK(r->GetU64(&hash_hi));
-  return r->GetU64(&hash_lo);
-}
-
 std::string LocationEntry::ToString() const {
   std::string out = StrFormat(
       "loc{epoch=%llu refs=%u r=%zu [",
@@ -53,16 +25,9 @@ std::string LocationEntry::ToString() const {
 
 namespace {
 
-std::string EncodeEntry(const LocationEntry& entry) {
-  BinaryWriter w;
-  entry.EncodeTo(&w);
-  return std::move(w).TakeBuffer();
-}
-
 Result<LocationEntry> DecodeEntry(const std::string& bytes) {
-  BinaryReader r{Slice(bytes)};
   LocationEntry entry;
-  BS_RETURN_NOT_OK(entry.DecodeFrom(&r));
+  BS_RETURN_NOT_OK(DecodePayload(Slice(bytes), &entry));
   if (!entry.valid()) return Status::Corruption("invalid location entry");
   return entry;
 }
@@ -123,7 +88,7 @@ Future<Unit> LocationIndex::PublishAsync(const PageId& pid,
                                          uint64_t hash_hi, uint64_t hash_lo) {
   auto entry = std::make_shared<LocationEntry>(
       LocationEntry{1, std::move(providers), 1, hash_hi, hash_lo});
-  return dht_->PutAsync(Slice(LocationKey(pid)), Slice(EncodeEntry(*entry)))
+  return dht_->PutAsync(Slice(LocationKey(pid)), Slice(EncodePayload(*entry)))
       .Then([this, pid, entry](Result<Unit> r) -> Result<Unit> {
         if (r.ok()) CacheInsert(pid, *entry);
         return r;
@@ -135,8 +100,8 @@ Future<LocationEntry> LocationIndex::CompareAndSwapEntryAsync(
   next.epoch = expected.epoch + 1;
   auto installed = std::make_shared<LocationEntry>(std::move(next));
   return dht_
-      ->CasAsync(Slice(LocationKey(pid)), Slice(EncodeEntry(expected)),
-                 Slice(EncodeEntry(*installed)),
+      ->CasAsync(Slice(LocationKey(pid)), Slice(EncodePayload(expected)),
+                 Slice(EncodePayload(*installed)),
                  /*expect_absent=*/false)
       .Then([this, pid,
              installed](Result<dht::CasResponse> r) -> Result<LocationEntry> {

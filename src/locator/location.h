@@ -46,9 +46,9 @@ struct LocationEntry {
   bool valid() const { return epoch != 0 && !providers.empty(); }
   bool condemned() const { return refs == 0; }
 
-  void EncodeTo(BinaryWriter* w) const;
-  Status DecodeFrom(BinaryReader* r);
   std::string ToString() const;
+
+  BS_FIELDS(LocationEntry, epoch, providers, refs, hash_hi, hash_lo)
 };
 
 struct LocationIndexStats {

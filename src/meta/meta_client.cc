@@ -40,10 +40,8 @@ bool MetaClient::CacheLookup(const std::string& key, MetaNode* node) {
 
 Future<Unit> MetaClient::PutNodeAsync(const NodeKey& key,
                                       const MetaNode& node) {
-  BinaryWriter w;
-  node.EncodeTo(&w);
   std::string k = key.ToDhtKey();
-  return dht_->PutAsync(Slice(k), Slice(w.buffer()))
+  return dht_->PutAsync(Slice(k), Slice(EncodePayload(node)))
       .Then([this, k, node](Result<Unit> r) -> Status {
         if (!r.ok()) return r.status();
         CacheInsert(k, node);
@@ -61,9 +59,7 @@ Future<MetaNode> MetaClient::GetNodeAsync(const NodeKey& key) {
         if (!raw.ok())
           return raw.status().WithContext("metadata node " + key.ToString());
         MetaNode node;
-        BinaryReader r{Slice(*raw)};
-        BS_RETURN_NOT_OK(node.DecodeFrom(&r));
-        BS_RETURN_NOT_OK(r.ExpectEnd());
+        BS_RETURN_NOT_OK(DecodePayload(Slice(*raw), &node));
         CacheInsert(k, node);
         return node;
       });

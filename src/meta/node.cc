@@ -22,22 +22,6 @@ std::string NodeKey::ToString() const {
                    block.ToString().c_str());
 }
 
-void PageFragment::EncodeTo(BinaryWriter* w) const {
-  // Format v3: the stable PageId only. Where the page's replicas currently
-  // live is the location index's concern, not the immutable leaf's.
-  w->PutPageId(pid);
-  w->PutU32(page_off);
-  w->PutU32(len);
-  w->PutU32(data_off);
-}
-
-Status PageFragment::DecodeFrom(BinaryReader* r) {
-  BS_RETURN_NOT_OK(r->GetPageId(&pid));
-  BS_RETURN_NOT_OK(r->GetU32(&page_off));
-  BS_RETURN_NOT_OK(r->GetU32(&len));
-  return r->GetU32(&data_off);
-}
-
 void MetaNode::EncodeTo(BinaryWriter* w) const {
   w->PutU8(kNodeFormatV3);
   w->PutU8(static_cast<uint8_t>(type));
@@ -47,7 +31,7 @@ void MetaNode::EncodeTo(BinaryWriter* w) const {
   } else {
     w->PutU64(prev_version);
     w->PutU32(chain_len);
-    PutVector(w, fragments);
+    serde::Encode(w, fragments);
   }
 }
 
@@ -65,7 +49,7 @@ Status MetaNode::DecodeFrom(BinaryReader* r) {
   }
   BS_RETURN_NOT_OK(r->GetU64(&prev_version));
   BS_RETURN_NOT_OK(r->GetU32(&chain_len));
-  return GetVector(r, &fragments);
+  return serde::Decode(r, &fragments);
 }
 
 std::string MetaNode::ToString() const {

@@ -44,8 +44,7 @@ struct PageFragment {
 
   friend bool operator==(const PageFragment&, const PageFragment&) = default;
 
-  void EncodeTo(BinaryWriter* w) const;
-  Status DecodeFrom(BinaryReader* r);
+  BS_FIELDS(PageFragment, pid, page_off, len, data_off)
 };
 
 /// Wire-format version marker, the first byte of every encoded MetaNode.

@@ -6,105 +6,50 @@
 #include <vector>
 
 #include "common/serde.h"
-#include "common/stats.h"
 
 namespace blobseer::pmanager {
 
 struct RegisterRequest {
   std::string address;
   uint64_t capacity_pages = 0;
-  void EncodeTo(BinaryWriter* w) const {
-    w->PutString(address);
-    w->PutU64(capacity_pages);
-  }
-  Status DecodeFrom(BinaryReader* r) {
-    BS_RETURN_NOT_OK(r->GetString(&address));
-    return r->GetU64(&capacity_pages);
-  }
+  BS_FIELDS(RegisterRequest, address, capacity_pages)
 };
 
 struct RegisterResponse {
   ProviderId id = kInvalidProvider;
-  void EncodeTo(BinaryWriter* w) const { w->PutU32(id); }
-  Status DecodeFrom(BinaryReader* r) { return r->GetU32(&id); }
+  BS_FIELDS(RegisterResponse, id)
 };
 
 struct HeartbeatRequest {
   ProviderId id = kInvalidProvider;
   uint64_t stored_pages = 0;
   uint64_t stored_bytes = 0;
-  void EncodeTo(BinaryWriter* w) const {
-    w->PutU32(id);
-    w->PutU64(stored_pages);
-    w->PutU64(stored_bytes);
-  }
-  Status DecodeFrom(BinaryReader* r) {
-    BS_RETURN_NOT_OK(r->GetU32(&id));
-    BS_RETURN_NOT_OK(r->GetU64(&stored_pages));
-    return r->GetU64(&stored_bytes);
-  }
+  BS_FIELDS(HeartbeatRequest, id, stored_pages, stored_bytes)
 };
 
 struct AllocateRequest {
   uint32_t num_pages = 0;
   /// Distinct providers requested per page (the page's replica set).
   uint32_t replication = 1;
-  void EncodeTo(BinaryWriter* w) const {
-    w->PutU32(num_pages);
-    w->PutU32(replication);
-  }
-  Status DecodeFrom(BinaryReader* r) {
-    BS_RETURN_NOT_OK(r->GetU32(&num_pages));
-    return r->GetU32(&replication);
-  }
+  BS_FIELDS(AllocateRequest, num_pages, replication)
 };
 
 struct AllocateResponse {
   /// One replica set per requested page; each set lists `replication`
   /// distinct providers, primary first.
   std::vector<std::vector<ProviderId>> replicas;
-  void EncodeTo(BinaryWriter* w) const {
-    w->PutU32(static_cast<uint32_t>(replicas.size()));
-    for (const auto& set : replicas) {
-      w->PutU32(static_cast<uint32_t>(set.size()));
-      for (ProviderId p : set) w->PutU32(p);
-    }
-  }
-  Status DecodeFrom(BinaryReader* r) {
-    uint32_t n;
-    BS_RETURN_NOT_OK(r->GetU32(&n));
-    if (static_cast<uint64_t>(n) * 4 > r->remaining())
-      return Status::Corruption("page count exceeds payload");
-    replicas.resize(n);
-    for (auto& set : replicas) {
-      uint32_t cnt;
-      BS_RETURN_NOT_OK(r->GetU32(&cnt));
-      if (static_cast<uint64_t>(cnt) * 4 > r->remaining())
-        return Status::Corruption("replica count exceeds payload");
-      set.resize(cnt);
-      for (auto& p : set) BS_RETURN_NOT_OK(r->GetU32(&p));
-    }
-    return Status::OK();
-  }
+  BS_FIELDS(AllocateResponse, replicas)
 };
 
 struct DirectoryEntry {
   ProviderId id = kInvalidProvider;
   std::string address;
-  void EncodeTo(BinaryWriter* w) const {
-    w->PutU32(id);
-    w->PutString(address);
-  }
-  Status DecodeFrom(BinaryReader* r) {
-    BS_RETURN_NOT_OK(r->GetU32(&id));
-    return r->GetString(&address);
-  }
+  BS_FIELDS(DirectoryEntry, id, address)
 };
 
 struct DirectoryResponse {
   std::vector<DirectoryEntry> entries;
-  void EncodeTo(BinaryWriter* w) const { PutVector(w, entries); }
-  Status DecodeFrom(BinaryReader* r) { return GetVector(r, &entries); }
+  BS_FIELDS(DirectoryResponse, entries)
 };
 
 /// One page's location as known to the reporter (a client that just stored
@@ -113,23 +58,7 @@ struct PageLocationInfo {
   PageId pid;
   uint64_t epoch = 0;
   std::vector<ProviderId> providers;
-  void EncodeTo(BinaryWriter* w) const {
-    w->PutPageId(pid);
-    w->PutU64(epoch);
-    w->PutU32(static_cast<uint32_t>(providers.size()));
-    for (ProviderId p : providers) w->PutU32(p);
-  }
-  Status DecodeFrom(BinaryReader* r) {
-    BS_RETURN_NOT_OK(r->GetPageId(&pid));
-    BS_RETURN_NOT_OK(r->GetU64(&epoch));
-    uint32_t n;
-    BS_RETURN_NOT_OK(r->GetU32(&n));
-    if (static_cast<uint64_t>(n) * 4 > r->remaining())
-      return Status::Corruption("replica count exceeds payload");
-    providers.resize(n);
-    for (auto& p : providers) BS_RETURN_NOT_OK(r->GetU32(&p));
-    return Status::OK();
-  }
+  BS_FIELDS(PageLocationInfo, pid, epoch, providers)
 };
 
 /// Feeds the provider manager's location table: `added` after storing or
@@ -138,43 +67,21 @@ struct PageLocationInfo {
 struct ReportLocationsRequest {
   std::vector<PageLocationInfo> added;
   std::vector<PageId> removed;
-  void EncodeTo(BinaryWriter* w) const {
-    PutVector(w, added);
-    w->PutU32(static_cast<uint32_t>(removed.size()));
-    for (const PageId& pid : removed) w->PutPageId(pid);
-  }
-  Status DecodeFrom(BinaryReader* r) {
-    BS_RETURN_NOT_OK(GetVector(r, &added));
-    uint32_t n;
-    BS_RETURN_NOT_OK(r->GetU32(&n));
-    if (static_cast<uint64_t>(n) * 16 > r->remaining())
-      return Status::Corruption("removed count exceeds payload");
-    removed.resize(n);
-    for (auto& pid : removed) BS_RETURN_NOT_OK(r->GetPageId(&pid));
-    return Status::OK();
-  }
+  BS_FIELDS(ReportLocationsRequest, added, removed)
 };
 
 /// Marks a provider draining and reports drain progress. Idempotent: poll
 /// until `drained`, then the process can be retired safely.
 struct DecommissionRequest {
   ProviderId id = kInvalidProvider;
-  void EncodeTo(BinaryWriter* w) const { w->PutU32(id); }
-  Status DecodeFrom(BinaryReader* r) { return r->GetU32(&id); }
+  BS_FIELDS(DecommissionRequest, id)
 };
 
 struct DecommissionResponse {
   /// Pages whose replica set still includes the draining provider.
   uint64_t remaining_pages = 0;
   bool drained = false;
-  void EncodeTo(BinaryWriter* w) const {
-    w->PutU64(remaining_pages);
-    w->PutBool(drained);
-  }
-  Status DecodeFrom(BinaryReader* r) {
-    BS_RETURN_NOT_OK(r->GetU64(&remaining_pages));
-    return r->GetBool(&drained);
-  }
+  BS_FIELDS(DecommissionResponse, remaining_pages, drained)
 };
 
 /// Registry and location-table statistics (ProviderManagerService::
@@ -204,25 +111,10 @@ struct PmStats {
   uint64_t gc_versions_retired = 0;
   uint64_t gc_pages_swept = 0;
 
-  static constexpr auto Fields() {
-    using S = PmStats;
-    return std::to_array<stats::Field<S>>(
-        {{"providers", &S::providers},
-         {"allocations", &S::allocations},
-         {"min_allocated", &S::min_allocated},
-         {"max_allocated", &S::max_allocated},
-         {"alive", &S::alive},
-         {"suspect", &S::suspect},
-         {"dead", &S::dead},
-         {"draining", &S::draining},
-         {"located_pages", &S::located_pages},
-         {"under_replicated", &S::under_replicated},
-         {"rebuilt_pages", &S::rebuilt_pages},
-         {"gc_passes", &S::gc_passes},
-         {"gc_versions_discarded", &S::gc_versions_discarded},
-         {"gc_versions_retired", &S::gc_versions_retired},
-         {"gc_pages_swept", &S::gc_pages_swept}});
-  }
+  BS_FIELDS(PmStats, providers, allocations, min_allocated, max_allocated,
+            alive, suspect, dead, draining, located_pages, under_replicated,
+            rebuilt_pages, gc_passes, gc_versions_discarded,
+            gc_versions_retired, gc_pages_swept)
 };
 
 }  // namespace blobseer::pmanager

@@ -8,8 +8,8 @@
 #include <string>
 #include <unordered_map>
 
+#include "common/serde.h"
 #include "common/slice.h"
-#include "common/stats.h"
 #include "common/status.h"
 #include "common/types.h"
 
@@ -37,24 +37,9 @@ struct PageStoreStats {
   friend bool operator==(const PageStoreStats&,
                          const PageStoreStats&) = default;
 
-  static constexpr auto Fields() {
-    using S = PageStoreStats;
-    return std::to_array<stats::Field<S>>(
-        {{"pages", &S::pages},
-         {"bytes", &S::bytes},
-         {"writes", &S::writes},
-         {"reads", &S::reads},
-         {"deletes", &S::deletes},
-         {"segments", &S::segments},
-         {"dead_bytes", &S::dead_bytes},
-         {"syncs", &S::syncs},
-         {"compactions", &S::compactions},
-         {"io_submissions", &S::io_submissions},
-         {"io_sqes", &S::io_sqes},
-         {"bytes_written", &S::bytes_written},
-         {"read_syscalls", &S::read_syscalls},
-         {"recovery_us", &S::recovery_us}});
-  }
+  BS_FIELDS(PageStoreStats, pages, bytes, writes, reads, deletes, segments,
+            dead_bytes, syncs, compactions, io_submissions, io_sqes,
+            bytes_written, read_syscalls, recovery_us)
 };
 
 /// Abstract page object store. Page objects are immutable once written

@@ -7,52 +7,17 @@
 
 #include "common/future.h"
 #include "common/serde.h"
-#include "common/stats.h"
 #include "rpc/transport.h"
 
 namespace blobseer::rpc {
 
 /// The request or response of a method that carries no payload.
 struct Empty {
-  void EncodeTo(BinaryWriter*) const {}
-  Status DecodeFrom(BinaryReader*) { return Status::OK(); }
+  BS_FIELDS(Empty)
 };
 
-/// Serializes one message: a stats struct (common/stats.h) through its
-/// field list, anything else through its EncodeTo.
-template <typename M>
-std::string EncodePayload(const M& msg) {
-  BinaryWriter w;
-  if constexpr (stats::Struct<M>)
-    stats::EncodeTo(msg, &w);
-  else
-    msg.EncodeTo(&w);
-  return std::move(w).TakeBuffer();
-}
-
-/// Decodes a whole payload into `*msg`, the one decode path of every call
-/// and handler. Fails with Corruption on short or trailing bytes.
-template <typename M>
-Status DecodePayload(Slice payload, M* msg) {
-  BinaryReader r(payload);
-  if constexpr (stats::Struct<M>)
-    BS_RETURN_NOT_OK(stats::DecodeFrom(&r, msg));
-  else
-    BS_RETURN_NOT_OK(msg->DecodeFrom(&r));
-  return r.ExpectEnd();
-}
-
-/// Encodes `req`, performs the call, decodes into `*rsp`.
-template <typename Request, typename Response>
-Status CallMethod(Channel* channel, Method method, const Request& req,
-                  Response* rsp) {
-  std::string out;
-  BS_RETURN_NOT_OK(channel->Call(method, Slice(EncodePayload(req)), &out));
-  return DecodePayload(Slice(out), rsp);
-}
-
-/// Async counterpart: encodes `req` inline, issues CallAsync, decodes in the
-/// completion callback. The returned future resolves on the transport's
+/// Encodes `req` inline, issues CallAsync, decodes the whole response in
+/// the completion callback. The returned future resolves on the transport's
 /// completion context (see Channel::CallAsync). `channel` must stay alive
 /// until the future resolves — channels obtained from a ChannelPool are
 /// retained by the pool, which satisfies this.

@@ -15,6 +15,18 @@
 //
 // The in-process and simulated transports skip framing and pass the payload
 // and Status through directly.
+//
+// Payloads (and DHT values) are encoded by the one codec in common/serde.h,
+// from each record's BS_FIELDS list:
+//   - fields in list order, with no names, tags, padding or version;
+//   - bool and u8 as one byte; u32 and u64 fixed-width little-endian
+//     (ProviderId is a u32, BlobId and Version are u64s);
+//   - strings as a u32 length and the bytes; vectors as a u32 count and the
+//     elements; PageId as hi then lo, Extent as offset then size (u64s);
+//   - nested records inline.
+// A payload that runs short or leaves bytes over is Corruption, and so is a
+// count the remaining bytes cannot hold. Only meta::MetaNode, a tagged union
+// behind a format byte, is encoded by hand.
 #ifndef BLOBSEER_RPC_WIRE_H_
 #define BLOBSEER_RPC_WIRE_H_
 

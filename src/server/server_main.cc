@@ -41,8 +41,8 @@
 #include "common/logging.h"
 #include "common/stats.h"
 #include "common/string_util.h"
+#include "core/cluster.h"
 #include "dht/service.h"
-#include "pagelog/log_page_store.h"
 #include "pmanager/client.h"
 #include "pmanager/service.h"
 #include "provider/service.h"
@@ -138,17 +138,11 @@ int main(int argc, char** argv) {
     } else if (role == "meta") {
       composite->Register(100, std::make_shared<dht::DhtService>());
     } else if (role == "provider") {
-      std::unique_ptr<provider::PageStore> store;
-      if (store_spec == "null") {
-        store = provider::MakeNullPageStore();
-      } else if (StartsWith(store_spec, "log:")) {
-        pagelog::LogPageStoreOptions lo;
-        lo.compact_dead_ratio = compact_dead_ratio;
-        lo.io_backend = io_backend;
-        store = pagelog::MakeLogPageStore(store_spec.substr(4), lo);
-      } else if (store_spec == "memory") {
-        store = provider::MakeMemoryPageStore();
-      } else {
+      pagelog::LogPageStoreOptions lo;
+      lo.compact_dead_ratio = compact_dead_ratio;
+      lo.io_backend = io_backend;
+      auto store = core::MakePageStore(store_spec, lo);
+      if (!store) {
         fprintf(stderr, "unknown --store: %s\n", store_spec.c_str());
         return 2;
       }

@@ -20,7 +20,6 @@
 #include "common/clock.h"
 #include "common/result.h"
 #include "common/serde.h"
-#include "common/stats.h"
 #include "common/types.h"
 #include "lifecycle/retention.h"
 
@@ -34,14 +33,7 @@ struct BorderEntry {
 
   friend bool operator==(const BorderEntry&, const BorderEntry&) = default;
 
-  void EncodeTo(BinaryWriter* w) const {
-    w->PutExtent(block);
-    w->PutU64(version);
-  }
-  Status DecodeFrom(BinaryReader* r) {
-    BS_RETURN_NOT_OK(r->GetExtent(&block));
-    return r->GetU64(&version);
-  }
+  BS_FIELDS(BorderEntry, block, version)
 };
 
 /// Everything a writer needs to build the metadata of its new snapshot:
@@ -61,26 +53,8 @@ struct AssignTicket {
 
   Extent range() const { return Extent{offset, size}; }
 
-  void EncodeTo(BinaryWriter* w) const {
-    w->PutU64(version);
-    w->PutU64(offset);
-    w->PutU64(size);
-    w->PutU64(old_size);
-    w->PutU64(new_size);
-    w->PutU64(published);
-    w->PutU64(published_size);
-    PutVector(w, borders);
-  }
-  Status DecodeFrom(BinaryReader* r) {
-    BS_RETURN_NOT_OK(r->GetU64(&version));
-    BS_RETURN_NOT_OK(r->GetU64(&offset));
-    BS_RETURN_NOT_OK(r->GetU64(&size));
-    BS_RETURN_NOT_OK(r->GetU64(&old_size));
-    BS_RETURN_NOT_OK(r->GetU64(&new_size));
-    BS_RETURN_NOT_OK(r->GetU64(&published));
-    BS_RETURN_NOT_OK(r->GetU64(&published_size));
-    return GetVector(r, &borders);
-  }
+  BS_FIELDS(AssignTicket, version, offset, size, old_size, new_size, published,
+            published_size, borders)
 };
 
 /// Result of AbortUpdate: either the version was retracted outright (it was
@@ -90,15 +64,7 @@ struct AssignTicket {
 struct AbortOutcome {
   bool retracted = false;
   AssignTicket repair;
-
-  void EncodeTo(BinaryWriter* w) const {
-    w->PutBool(retracted);
-    repair.EncodeTo(w);
-  }
-  Status DecodeFrom(BinaryReader* r) {
-    BS_RETURN_NOT_OK(r->GetBool(&retracted));
-    return repair.DecodeFrom(r);
-  }
+  BS_FIELDS(AbortOutcome, retracted, repair)
 };
 
 struct VmStats {
@@ -109,16 +75,8 @@ struct VmStats {
   uint64_t discarded = 0;
   uint64_t sync_waiters = 0;  ///< parked publication subscriptions
 
-  static constexpr auto Fields() {
-    using S = VmStats;
-    return std::to_array<stats::Field<S>>(
-        {{"blobs", &S::blobs},
-         {"assigned", &S::assigned},
-         {"published", &S::published},
-         {"aborted", &S::aborted},
-         {"discarded", &S::discarded},
-         {"sync_waiters", &S::sync_waiters}});
-  }
+  BS_FIELDS(VmStats, blobs, assigned, published, aborted, discarded,
+            sync_waiters)
 };
 
 /// One version's lifecycle facts, as reported by ListVersions (the GC
@@ -136,22 +94,8 @@ struct VersionInfo {
 
   friend bool operator==(const VersionInfo&, const VersionInfo&) = default;
 
-  void EncodeTo(BinaryWriter* w) const {
-    w->PutU64(version);
-    w->PutU64(size);
-    w->PutU64(assigned_at_us);
-    w->PutBool(published);
-    w->PutBool(discarded);
-    w->PutBool(pinned);
-  }
-  Status DecodeFrom(BinaryReader* r) {
-    BS_RETURN_NOT_OK(r->GetU64(&version));
-    BS_RETURN_NOT_OK(r->GetU64(&size));
-    BS_RETURN_NOT_OK(r->GetU64(&assigned_at_us));
-    BS_RETURN_NOT_OK(r->GetBool(&published));
-    BS_RETURN_NOT_OK(r->GetBool(&discarded));
-    return r->GetBool(&pinned);
-  }
+  BS_FIELDS(VersionInfo, version, size, assigned_at_us, published, discarded,
+            pinned)
 };
 
 /// Thread-safe version manager state machine.

@@ -10,36 +10,24 @@ namespace blobseer::vmanager {
 
 struct CreateBlobRequest {
   uint64_t psize = 0;
-  void EncodeTo(BinaryWriter* w) const { w->PutU64(psize); }
-  Status DecodeFrom(BinaryReader* r) { return r->GetU64(&psize); }
+  BS_FIELDS(CreateBlobRequest, psize)
 };
 
 struct CreateBlobResponse {
   BlobDescriptor descriptor;
-  void EncodeTo(BinaryWriter* w) const { descriptor.EncodeTo(w); }
-  Status DecodeFrom(BinaryReader* r) { return descriptor.DecodeFrom(r); }
+  BS_FIELDS(CreateBlobResponse, descriptor)
 };
 
 struct OpenBlobRequest {
   BlobId id = kInvalidBlobId;
-  void EncodeTo(BinaryWriter* w) const { w->PutU64(id); }
-  Status DecodeFrom(BinaryReader* r) { return r->GetU64(&id); }
+  BS_FIELDS(OpenBlobRequest, id)
 };
 
 struct OpenBlobResponse {
   BlobDescriptor descriptor;
   Version published = 0;
   uint64_t published_size = 0;
-  void EncodeTo(BinaryWriter* w) const {
-    descriptor.EncodeTo(w);
-    w->PutU64(published);
-    w->PutU64(published_size);
-  }
-  Status DecodeFrom(BinaryReader* r) {
-    BS_RETURN_NOT_OK(descriptor.DecodeFrom(r));
-    BS_RETURN_NOT_OK(r->GetU64(&published));
-    return r->GetU64(&published_size);
-  }
+  BS_FIELDS(OpenBlobResponse, descriptor, published, published_size)
 };
 
 struct AssignRequest {
@@ -47,202 +35,111 @@ struct AssignRequest {
   bool is_append = false;
   uint64_t offset = 0;
   uint64_t size = 0;
-  void EncodeTo(BinaryWriter* w) const {
-    w->PutU64(id);
-    w->PutBool(is_append);
-    w->PutU64(offset);
-    w->PutU64(size);
-  }
-  Status DecodeFrom(BinaryReader* r) {
-    BS_RETURN_NOT_OK(r->GetU64(&id));
-    BS_RETURN_NOT_OK(r->GetBool(&is_append));
-    BS_RETURN_NOT_OK(r->GetU64(&offset));
-    return r->GetU64(&size);
-  }
+  BS_FIELDS(AssignRequest, id, is_append, offset, size)
 };
 
 struct AssignResponse {
   AssignTicket ticket;
-  void EncodeTo(BinaryWriter* w) const { ticket.EncodeTo(w); }
-  Status DecodeFrom(BinaryReader* r) { return ticket.DecodeFrom(r); }
+  BS_FIELDS(AssignResponse, ticket)
 };
 
 struct NotifyRequest {
   BlobId id = kInvalidBlobId;
   Version version = kNoVersion;
-  void EncodeTo(BinaryWriter* w) const {
-    w->PutU64(id);
-    w->PutU64(version);
-  }
-  Status DecodeFrom(BinaryReader* r) {
-    BS_RETURN_NOT_OK(r->GetU64(&id));
-    return r->GetU64(&version);
-  }
+  BS_FIELDS(NotifyRequest, id, version)
 };
 
 struct AbortRequest {
   BlobId id = kInvalidBlobId;
   Version version = kNoVersion;
-  void EncodeTo(BinaryWriter* w) const {
-    w->PutU64(id);
-    w->PutU64(version);
-  }
-  Status DecodeFrom(BinaryReader* r) {
-    BS_RETURN_NOT_OK(r->GetU64(&id));
-    return r->GetU64(&version);
-  }
+  BS_FIELDS(AbortRequest, id, version)
 };
 
 struct AbortResponse {
   AbortOutcome outcome;
-  void EncodeTo(BinaryWriter* w) const { outcome.EncodeTo(w); }
-  Status DecodeFrom(BinaryReader* r) { return outcome.DecodeFrom(r); }
+  BS_FIELDS(AbortResponse, outcome)
 };
 
 struct GetRecentRequest {
   BlobId id = kInvalidBlobId;
-  void EncodeTo(BinaryWriter* w) const { w->PutU64(id); }
-  Status DecodeFrom(BinaryReader* r) { return r->GetU64(&id); }
+  BS_FIELDS(GetRecentRequest, id)
 };
 
 struct GetRecentResponse {
   Version version = 0;
   uint64_t size = 0;
-  void EncodeTo(BinaryWriter* w) const {
-    w->PutU64(version);
-    w->PutU64(size);
-  }
-  Status DecodeFrom(BinaryReader* r) {
-    BS_RETURN_NOT_OK(r->GetU64(&version));
-    return r->GetU64(&size);
-  }
+  BS_FIELDS(GetRecentResponse, version, size)
 };
 
 struct GetSizeRequest {
   BlobId id = kInvalidBlobId;
   Version version = kNoVersion;
-  void EncodeTo(BinaryWriter* w) const {
-    w->PutU64(id);
-    w->PutU64(version);
-  }
-  Status DecodeFrom(BinaryReader* r) {
-    BS_RETURN_NOT_OK(r->GetU64(&id));
-    return r->GetU64(&version);
-  }
+  BS_FIELDS(GetSizeRequest, id, version)
 };
 
 struct GetSizeResponse {
   uint64_t size = 0;
-  void EncodeTo(BinaryWriter* w) const { w->PutU64(size); }
-  Status DecodeFrom(BinaryReader* r) { return r->GetU64(&size); }
+  BS_FIELDS(GetSizeResponse, size)
 };
 
 struct AwaitRequest {
   BlobId id = kInvalidBlobId;
   Version version = kNoVersion;
   uint64_t timeout_us = 0;
-  void EncodeTo(BinaryWriter* w) const {
-    w->PutU64(id);
-    w->PutU64(version);
-    w->PutU64(timeout_us);
-  }
-  Status DecodeFrom(BinaryReader* r) {
-    BS_RETURN_NOT_OK(r->GetU64(&id));
-    BS_RETURN_NOT_OK(r->GetU64(&version));
-    return r->GetU64(&timeout_us);
-  }
+  BS_FIELDS(AwaitRequest, id, version, timeout_us)
 };
 
 struct AwaitResponse {
   bool published = false;
-  void EncodeTo(BinaryWriter* w) const { w->PutBool(published); }
-  Status DecodeFrom(BinaryReader* r) { return r->GetBool(&published); }
+  BS_FIELDS(AwaitResponse, published)
 };
 
 struct BranchRequest {
   BlobId id = kInvalidBlobId;
   Version version = kNoVersion;
-  void EncodeTo(BinaryWriter* w) const {
-    w->PutU64(id);
-    w->PutU64(version);
-  }
-  Status DecodeFrom(BinaryReader* r) {
-    BS_RETURN_NOT_OK(r->GetU64(&id));
-    return r->GetU64(&version);
-  }
+  BS_FIELDS(BranchRequest, id, version)
 };
 
 struct BranchResponse {
   BlobDescriptor descriptor;
-  void EncodeTo(BinaryWriter* w) const { descriptor.EncodeTo(w); }
-  Status DecodeFrom(BinaryReader* r) { return descriptor.DecodeFrom(r); }
+  BS_FIELDS(BranchResponse, descriptor)
 };
 
 struct SetRetentionRequest {
   BlobId id = kInvalidBlobId;
   lifecycle::RetentionPolicy policy;
-  void EncodeTo(BinaryWriter* w) const {
-    w->PutU64(id);
-    policy.EncodeTo(w);
-  }
-  Status DecodeFrom(BinaryReader* r) {
-    BS_RETURN_NOT_OK(r->GetU64(&id));
-    return policy.DecodeFrom(r);
-  }
+  BS_FIELDS(SetRetentionRequest, id, policy)
 };
 
 struct GetRetentionRequest {
   BlobId id = kInvalidBlobId;
-  void EncodeTo(BinaryWriter* w) const { w->PutU64(id); }
-  Status DecodeFrom(BinaryReader* r) { return r->GetU64(&id); }
+  BS_FIELDS(GetRetentionRequest, id)
 };
 
 struct GetRetentionResponse {
   lifecycle::RetentionPolicy policy;
-  void EncodeTo(BinaryWriter* w) const { policy.EncodeTo(w); }
-  Status DecodeFrom(BinaryReader* r) { return policy.DecodeFrom(r); }
+  BS_FIELDS(GetRetentionResponse, policy)
 };
 
 struct ListVersionsRequest {
   BlobId id = kInvalidBlobId;
-  void EncodeTo(BinaryWriter* w) const { w->PutU64(id); }
-  Status DecodeFrom(BinaryReader* r) { return r->GetU64(&id); }
+  BS_FIELDS(ListVersionsRequest, id)
 };
 
 struct ListVersionsResponse {
   std::vector<VersionInfo> versions;
-  void EncodeTo(BinaryWriter* w) const { PutVector(w, versions); }
-  Status DecodeFrom(BinaryReader* r) { return GetVector(r, &versions); }
+  BS_FIELDS(ListVersionsResponse, versions)
 };
 
 struct DiscardVersionRequest {
   BlobId id = kInvalidBlobId;
   Version version = kNoVersion;
-  void EncodeTo(BinaryWriter* w) const {
-    w->PutU64(id);
-    w->PutU64(version);
-  }
-  Status DecodeFrom(BinaryReader* r) {
-    BS_RETURN_NOT_OK(r->GetU64(&id));
-    return r->GetU64(&version);
-  }
+  BS_FIELDS(DiscardVersionRequest, id, version)
 };
 
 struct ListBlobsResponse {
   std::vector<BlobId> blobs;
-  void EncodeTo(BinaryWriter* w) const {
-    w->PutU32(static_cast<uint32_t>(blobs.size()));
-    for (BlobId id : blobs) w->PutU64(id);
-  }
-  Status DecodeFrom(BinaryReader* r) {
-    uint32_t n = 0;
-    BS_RETURN_NOT_OK(r->GetU32(&n));
-    if (static_cast<uint64_t>(n) * 8 > r->remaining())
-      return Status::Corruption("blob count exceeds payload");
-    blobs.resize(n);
-    for (auto& id : blobs) BS_RETURN_NOT_OK(r->GetU64(&id));
-    return Status::OK();
-  }
+  BS_FIELDS(ListBlobsResponse, blobs)
 };
 
 }  // namespace blobseer::vmanager

@@ -145,14 +145,9 @@ void VersionManagerService::HandleAsync(rpc::Method method, Slice payload,
     return;
   }
   AwaitRequest req;
-  {
-    BinaryReader r(payload);
-    Status ds = req.DecodeFrom(&r);
-    if (ds.ok()) ds = r.ExpectEnd();
-    if (!ds.ok()) {
-      done(std::move(ds), std::string());
-      return;
-    }
+  if (Status ds = DecodePayload(payload, &req); !ds.ok()) {
+    done(std::move(ds), std::string());
+    return;
   }
   // A probe never parks; a finite timeout needs a watchdog, so without a
   // timer executor the blocking wait is the only correct behavior left.
@@ -174,9 +169,7 @@ void VersionManagerService::HandleAsync(rpc::Method method, Slice payload,
       done(std::move(s), std::string());
       return;
     }
-    BinaryWriter w;
-    rsp.EncodeTo(&w);
-    done(Status::OK(), std::move(w).TakeBuffer());
+    done(Status::OK(), EncodePayload(rsp));
   };
 
   uint64_t token = core_->SubscribePublished(req.id, req.version,

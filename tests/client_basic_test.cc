@@ -253,6 +253,14 @@ TEST_F(ClientBasicTest, UnknownPageStoreIsRejected) {
       core::EmbeddedCluster::Start(opts).status().IsInvalidArgument());
 }
 
+TEST(MakePageStoreTest, KnownSpecsOnly) {
+  EXPECT_NE(core::MakePageStore("memory"), nullptr);
+  EXPECT_NE(core::MakePageStore("null"), nullptr);
+  EXPECT_EQ(core::MakePageStore("file:/tmp/pages"), nullptr);
+  EXPECT_EQ(core::MakePageStore("Memory"), nullptr);
+  EXPECT_EQ(core::MakePageStore(""), nullptr);
+}
+
 TEST_F(ClientBasicTest, LogBackedProvidersRoundTrip) {
   const std::string dir = ::testing::TempDir() + "/bs_cluster_pages";
   std::filesystem::remove_all(dir);

@@ -330,10 +330,7 @@ TEST(ExecutorTest, EmptyBatchIsOk) {
 struct TwoCounters {
   uint64_t a = 0;
   uint64_t b = 0;
-  static constexpr auto Fields() {
-    using S = TwoCounters;
-    return std::to_array<stats::Field<S>>({{"a", &S::a}, {"b", &S::b}});
-  }
+  BS_FIELDS(TwoCounters, a, b)
 };
 
 TEST(StatsTest, AddSumsAndForEachVisitsEveryFieldInOrder) {

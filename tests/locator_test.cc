@@ -64,6 +64,17 @@ TEST(LocationEntrySerdeTest, TruncatedAndOversizedRejected) {
   }
 }
 
+// Location entries live in the in-memory DHT and are written by the same
+// binary, so an entry without its refcount and content hash cannot exist.
+TEST(LocationEntrySerdeTest, EntryWithoutRefsAndHashIsCorruption) {
+  BinaryWriter w;
+  w.PutU64(7);  // epoch
+  w.PutU32(1);  // one provider
+  w.PutU32(3);
+  LocationEntry decoded;
+  EXPECT_TRUE(DecodePayload(Slice(w.buffer()), &decoded).IsCorruption());
+}
+
 TEST(LocationEntrySerdeTest, ValidRequiresEpochAndProviders) {
   EXPECT_FALSE((LocationEntry{0, {1}}).valid());
   EXPECT_FALSE((LocationEntry{1, {}}).valid());

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <thread>
+#include <typeinfo>
 
 #include "baseline/central_meta.h"
 #include "client/blob_client.h"
@@ -28,96 +29,6 @@ namespace {
 
 using testing::ReferenceBlob;
 using testing::TestPayload;
-
-// --- Decoder fuzzing --------------------------------------------------------
-
-template <typename Msg>
-void FuzzDecode(uint64_t seed, int iters) {
-  Rng rng(seed);
-  for (int i = 0; i < iters; i++) {
-    size_t len = rng.Uniform(200);
-    std::string junk(len, '\0');
-    for (auto& c : junk) c = static_cast<char>(rng.Next());
-    Msg msg;
-    // The decode path of every client call: must return (any status); must
-    // not crash or hang.
-    (void)rpc::DecodePayload(Slice(junk), &msg);
-  }
-}
-
-TEST(FuzzDecodeTest, MetaNodeSurvivesGarbage) {
-  FuzzDecode<meta::MetaNode>(1, 3000);
-}
-TEST(FuzzDecodeTest, VmTicketSurvivesGarbage) {
-  FuzzDecode<vmanager::AssignTicket>(2, 3000);
-}
-TEST(FuzzDecodeTest, DirectoryResponseSurvivesGarbage) {
-  FuzzDecode<pmanager::DirectoryResponse>(3, 3000);
-}
-TEST(FuzzDecodeTest, MultiGetResponseSurvivesGarbage) {
-  FuzzDecode<dht::MultiGetResponse>(4, 3000);
-}
-TEST(FuzzDecodeTest, ProviderReadRequestSurvivesGarbage) {
-  FuzzDecode<provider::ReadRequest>(5, 3000);
-}
-TEST(FuzzDecodeTest, BlobDescriptorSurvivesGarbage) {
-  FuzzDecode<BlobDescriptor>(6, 3000);
-}
-
-TEST(FuzzDecodeTest, StatsPayloadsSurviveGarbage) {
-  FuzzDecode<provider::PageStoreStats>(7, 3000);
-  FuzzDecode<dht::StoreStats>(8, 3000);
-  FuzzDecode<vmanager::VmStats>(9, 3000);
-  FuzzDecode<pmanager::PmStats>(10, 3000);
-  FuzzDecode<client::ClientStats>(11, 3000);
-}
-
-// A stats payload is one u64 per listed field, positional: it round-trips
-// exactly, and any shorter or longer payload is Corruption.
-template <typename S>
-void ExpectStatsCodecIsExact() {
-  S sent;
-  uint64_t next = 1;
-  for (const auto& field : S::Fields()) sent.*field.member = next++ << 40;
-  std::string bytes = rpc::EncodePayload(sent);
-  ASSERT_EQ(bytes.size(), 8 * S::Fields().size());
-  S got;
-  ASSERT_TRUE(rpc::DecodePayload(Slice(bytes), &got).ok());
-  EXPECT_EQ(rpc::EncodePayload(got), bytes);
-  for (size_t cut = 0; cut < bytes.size(); cut++) {
-    S partial;
-    EXPECT_TRUE(
-        rpc::DecodePayload(Slice(bytes.data(), cut), &partial).IsCorruption())
-        << "decoded from truncated prefix " << cut;
-  }
-  EXPECT_TRUE(rpc::DecodePayload(Slice(bytes + std::string(8, '\0')), &got)
-                  .IsCorruption());
-}
-
-TEST(FuzzDecodeTest, StatsPayloadsDecodeExactly) {
-  ExpectStatsCodecIsExact<provider::PageStoreStats>();
-  ExpectStatsCodecIsExact<dht::StoreStats>();
-  ExpectStatsCodecIsExact<vmanager::VmStats>();
-  ExpectStatsCodecIsExact<pmanager::PmStats>();
-  ExpectStatsCodecIsExact<client::ClientStats>();
-}
-
-// Truncation at every byte offset of a valid encoding must fail cleanly or
-// succeed (when the prefix happens to decode), never crash.
-TEST(FuzzDecodeTest, TruncationSweepOnMetaNode) {
-  meta::MetaNode leaf = meta::MetaNode::Leaf(
-      {meta::PageFragment{PageId{1, 2}, 4, 5, 6},
-       meta::PageFragment{PageId{7, 8}, 10, 11, 12}},
-      42, 3);
-  BinaryWriter w;
-  leaf.EncodeTo(&w);
-  for (size_t cut = 0; cut < w.buffer().size(); cut++) {
-    meta::MetaNode decoded;
-    BinaryReader r{Slice(w.buffer().data(), cut)};
-    Status s = decoded.DecodeFrom(&r);
-    EXPECT_FALSE(s.ok()) << "decoded from truncated prefix " << cut;
-  }
-}
 
 // --- Wire golden bytes -----------------------------------------------------
 
@@ -301,7 +212,7 @@ template <typename M>
 std::string WireHex(const M& msg) {
   static constexpr char kDigits[] = "0123456789abcdef";
   std::string hex;
-  for (unsigned char c : rpc::EncodePayload(msg)) {
+  for (unsigned char c : EncodePayload(msg)) {
     hex += kDigits[c >> 4];
     hex += kDigits[c & 15];
   }
@@ -464,6 +375,120 @@ TEST(WireGoldenTest, EveryRecordEncodesToPinnedBytes) {
             "0500000000000000060000000000000007000000000000000800000000000000"
             "09000000000000000a000000000000000b000000000000000c00000000000000"
             "0d000000000000000e000000000000000f00000000000000");
+}
+
+// --- Decoder fuzzing and round trips ----------------------------------------
+
+template <>
+meta::MetaNode Sample() {
+  return meta::MetaNode::Leaf({Sample<meta::PageFragment>(),
+                               meta::PageFragment{PageId{7, 8}, 10, 11, 12}},
+                              42, 3);
+}
+
+template <typename Msg>
+class WireCodecTest : public ::testing::Test {};
+
+// Every wire record and stats payload, plus the hand-coded metadata node.
+using WireTypes = ::testing::Types<
+    dht::PutRequest,
+    dht::GetRequest,
+    dht::GetResponse,
+    dht::DeleteRequest,
+    dht::CasRequest,
+    dht::CasResponse,
+    dht::MultiGetRequest,
+    dht::MultiGetResponse,
+    dht::StoreStats,
+    provider::WriteRequest,
+    provider::ReadRequest,
+    provider::ReadResponse,
+    provider::DeleteRequest,
+    provider::PageStoreStats,
+    pmanager::RegisterRequest,
+    pmanager::RegisterResponse,
+    pmanager::HeartbeatRequest,
+    pmanager::AllocateRequest,
+    pmanager::AllocateResponse,
+    pmanager::DirectoryEntry,
+    pmanager::DirectoryResponse,
+    pmanager::PageLocationInfo,
+    pmanager::ReportLocationsRequest,
+    pmanager::DecommissionRequest,
+    pmanager::DecommissionResponse,
+    pmanager::PmStats,
+    AncestrySegment,
+    BlobDescriptor,
+    lifecycle::RetentionPolicy,
+    vmanager::BorderEntry,
+    vmanager::AssignTicket,
+    vmanager::AbortOutcome,
+    vmanager::VersionInfo,
+    vmanager::VmStats,
+    vmanager::CreateBlobRequest,
+    vmanager::CreateBlobResponse,
+    vmanager::OpenBlobRequest,
+    vmanager::OpenBlobResponse,
+    vmanager::AssignRequest,
+    vmanager::AssignResponse,
+    vmanager::NotifyRequest,
+    vmanager::AbortRequest,
+    vmanager::AbortResponse,
+    vmanager::GetRecentRequest,
+    vmanager::GetRecentResponse,
+    vmanager::GetSizeRequest,
+    vmanager::GetSizeResponse,
+    vmanager::AwaitRequest,
+    vmanager::AwaitResponse,
+    vmanager::BranchRequest,
+    vmanager::BranchResponse,
+    vmanager::SetRetentionRequest,
+    vmanager::GetRetentionRequest,
+    vmanager::GetRetentionResponse,
+    vmanager::ListVersionsRequest,
+    vmanager::ListVersionsResponse,
+    vmanager::DiscardVersionRequest,
+    vmanager::ListBlobsResponse,
+    meta::PageFragment,
+    locator::LocationEntry,
+    baseline::PageRef,
+    baseline::CreateRequest,
+    baseline::CreateResponse,
+    baseline::UpdateRequest,
+    baseline::UpdateResponse,
+    baseline::LayoutRequest,
+    baseline::LayoutResponse,
+    baseline::RecentRequest,
+    baseline::RecentResponse,
+    client::ClientStats,
+    meta::MetaNode>;
+TYPED_TEST_SUITE(WireCodecTest, WireTypes);
+
+// Junk must decode to some status: never crash, hang or over-allocate.
+TYPED_TEST(WireCodecTest, SurvivesGarbage) {
+  Rng rng(typeid(TypeParam).hash_code());
+  for (int i = 0; i < 3000; i++) {
+    std::string junk(rng.Uniform(200), '\0');
+    for (auto& c : junk) c = static_cast<char>(rng.Next());
+    TypeParam msg;
+    (void)DecodePayload(Slice(junk), &msg);
+  }
+}
+
+// A populated instance round-trips exactly; every strict prefix, and any
+// trailing byte, is Corruption.
+TYPED_TEST(WireCodecTest, DecodesExactly) {
+  const std::string bytes = EncodePayload(Sample<TypeParam>());
+  TypeParam got;
+  ASSERT_TRUE(DecodePayload(Slice(bytes), &got).ok());
+  EXPECT_EQ(EncodePayload(got), bytes);
+  for (size_t cut = 0; cut < bytes.size(); cut++) {
+    TypeParam partial;
+    EXPECT_TRUE(DecodePayload(Slice(bytes.data(), cut), &partial)
+                    .IsCorruption())
+        << "decoded from truncated prefix " << cut;
+  }
+  EXPECT_TRUE(DecodePayload(Slice(bytes + '\0'), &got).IsCorruption());
 }
 
 // --- Service-level misuse ----------------------------------------------------

@@ -247,8 +247,7 @@ TEST_P(TransportTest, TypedAsyncCallThroughFuture) {
   ASSERT_TRUE(ch.ok());
   struct Echo {
     std::string text;
-    void EncodeTo(BinaryWriter* w) const { w->PutString(text); }
-    Status DecodeFrom(BinaryReader* r) { return r->GetString(&text); }
+    BS_FIELDS(Echo, text)
   };
   auto f = CallMethodAsync<Echo, Echo>(ch->get(), Method::kDhtPut,
                                        Echo{"typed-async"});
@@ -303,8 +302,7 @@ TEST(CompositeHandlerTest, RoutesByMethodBlock) {
 // Typed call helpers.
 struct PingMsg {
   uint64_t value = 0;
-  void EncodeTo(BinaryWriter* w) const { w->PutU64(value); }
-  Status DecodeFrom(BinaryReader* r) { return r->GetU64(&value); }
+  BS_FIELDS(PingMsg, value)
 };
 
 class TypedService : public ServiceHandler {
@@ -324,9 +322,11 @@ TEST(TypedCallTest, EncodesAndDecodes) {
   ASSERT_TRUE(net.Serve("inproc://typed", std::make_shared<TypedService>()).ok());
   auto ch = net.Connect("inproc://typed");
   ASSERT_TRUE(ch.ok());
-  PingMsg req{41}, rsp;
-  ASSERT_TRUE(CallMethod(ch->get(), Method::kDhtPut, req, &rsp).ok());
-  EXPECT_EQ(rsp.value, 42u);
+  auto rsp =
+      CallMethodAsync<PingMsg, PingMsg>(ch->get(), Method::kDhtPut, {41})
+          .Wait();
+  ASSERT_TRUE(rsp.ok()) << rsp.status().ToString();
+  EXPECT_EQ(rsp->value, 42u);
 }
 
 TEST(TypedCallTest, MalformedPayloadIsCorruption) {
