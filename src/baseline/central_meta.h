@@ -13,7 +13,6 @@
 #include <vector>
 
 #include "common/future.h"
-#include "common/result.h"
 #include "common/serde.h"
 #include "common/types.h"
 #include "rpc/channel_pool.h"
@@ -73,7 +72,6 @@ struct RecentResponse {
   uint64_t size = 0;
   BS_FIELDS(RecentResponse, version, size)
 };
-
 
 struct CentralMetaStats {
   uint64_t blobs = 0;
