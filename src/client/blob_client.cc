@@ -17,30 +17,49 @@ using meta::NodeKey;
 using meta::PageFragment;
 using vmanager::AssignTicket;
 
+namespace {
+
+// Resolves once every future has, with the first error (OK when none).
+Future<Unit> AllOf(std::vector<Future<Unit>> futures) {
+  return WhenAll(std::move(futures))
+      .Then([](Result<std::vector<Result<Unit>>> all) -> Status {
+        if (!all.ok()) return all.status();
+        return FirstError(*all);
+      });
+}
+
+}  // namespace
+
 // Shared state of one WRITE/APPEND (or abort-repair) chain. Everything a
 // stage borrows — the page split, the caller's payload view, compaction
 // buffers, the node batch — hangs off this object, which every continuation
 // captures by shared_ptr, so buffers live exactly as long as the operation.
 struct BlobClient::UpdateOp {
+  enum class Kind { kWrite, kAppend, kRepair };
+
   BlobClient* c = nullptr;
   BlobId id = kInvalidBlobId;
   Slice data;         // caller's buffer (WRITE/APPEND) or `zeros` below
   std::string zeros;  // abort-repair payload
   uint64_t offset = 0;
-  bool is_append = false;
+  Kind kind = Kind::kWrite;
 
   BlobDescriptor desc;
   AssignTicket ticket;
   std::shared_ptr<PageWriteBatch> batch;
 
-  // Metadata-build state (initialized by BuildAndWriteMetaAsync).
+  // Metadata-build state (initialized by PlanMetaAsync).
   BranchAncestry ancestry;
   BlobId self_origin = kInvalidBlobId;
   std::map<Extent, Version> border_map;
   std::shared_ptr<meta::MetaClient::SharedNodeMemo> memo;
-  std::mutex mu;  // guards nodes + merged (leaves build concurrently)
+  // Guards nodes, merged and compacted: the plan and the leaves build
+  // concurrently.
+  std::mutex mu;
   std::vector<std::pair<NodeKey, MetaNode>> nodes;
   std::vector<std::shared_ptr<std::string>> merged;  // compaction buffers
+  // The pages compaction stored: they join the update's location wave.
+  std::vector<std::shared_ptr<PageWriteBatch>> compacted;
 
   Promise<Version> promise;
 
@@ -213,11 +232,7 @@ Future<Unit> BlobClient::RunWindowed(
     std::vector<Future<Unit>> all;
     all.reserve(tasks.size());
     for (auto& t : tasks) all.push_back(t());
-    return WhenAll(std::move(all))
-        .Then([](Result<std::vector<Result<Unit>>> rs) -> Status {
-          if (!rs.ok()) return rs.status();
-          return FirstError(*rs);
-        });
+    return AllOf(std::move(all));
   }
   struct WindowOp {
     BlobClient* c = nullptr;
@@ -397,18 +412,13 @@ Future<Unit> BlobClient::StorePagesAsync(
           }
         }
         return RunWindowed(std::move(tasks), options_.max_inflight_pages)
-            .Then([this, batch](Result<Unit> all) -> Future<Unit> {
-              if (!all.ok()) return MakeReadyFuture(all.status());
-              return PublishLocationsAsync(batch);
-            })
-            .Then([this, batch](Result<Unit> published) -> Status {
-              if (!published.ok()) return published.status();
+            .Then([this, batch](Result<Unit> all) -> Status {
+              if (!all.ok()) return all.status();
               size_t stored = 0;
               for (const PageWrite& w : batch->pages)
                 if (!w.adopted) stored++;
               std::lock_guard<std::mutex> lock(stats_mu_);
               stats_.pages_stored += stored;
-              stats_.locations_published += stored;
               return Status::OK();
             });
       });
@@ -481,45 +491,6 @@ Future<Unit> BlobClient::StorePageDedupAsync(
                         });
                   });
             });
-      });
-}
-
-Future<Unit> BlobClient::PublishLocationsAsync(
-    std::shared_ptr<PageWriteBatch> batch) {
-  // Page ids are client-unique, so the entries are plain puts (epoch 1) —
-  // no CAS needed on first publication. The wave must succeed: under v3
-  // metadata the location entry is the only map from PageId to providers,
-  // so a page whose entry is lost would be unreadable. A failure here fails
-  // the update and the caller's cleanup deletes the stored pages.
-  std::vector<Future<Unit>> puts;
-  puts.reserve(batch->pages.size());
-  for (const PageWrite& w : batch->pages) {
-    // Adopted pages already have a live entry (their refcount bump proved
-    // it); publishing again would reset its epoch history.
-    if (w.adopted) continue;
-    puts.push_back(
-        locator_.PublishAsync(w.frag.pid, w.replicas, w.hash.hi, w.hash.lo));
-  }
-  return WhenAll(std::move(puts))
-      .Then([this, batch](Result<std::vector<Result<Unit>>> rs)
-                -> Future<Unit> {
-        if (!rs.ok()) return MakeReadyFuture(rs.status());
-        Status first = FirstError(*rs);
-        if (!first.ok()) return MakeReadyFuture(std::move(first));
-        // Feed the provider manager's location table so the rebuilder can
-        // heal these pages. Required, not best-effort: a page the table
-        // never learns about would silently stay under-replicated after a
-        // provider loss. Adopted pages are already in the table from their
-        // original publisher.
-        pmanager::ReportLocationsRequest report;
-        report.added.reserve(batch->pages.size());
-        for (const PageWrite& w : batch->pages) {
-          if (w.adopted) continue;
-          report.added.push_back(
-              pmanager::PageLocationInfo{w.frag.pid, 1, w.replicas});
-        }
-        if (report.added.empty()) return MakeReadyFuture(Status::OK());
-        return pm_.ReportLocationsAsync(std::move(report));
       });
 }
 
@@ -692,9 +663,11 @@ Future<Unit> BlobClient::BuildLeafAsync(std::shared_ptr<UpdateOp> op,
               // Compaction: materialize the merged page so the chain
               // resets. The merged buffer lives on the op.
               auto buffer = std::make_shared<std::string>(cs_new, '\0');
+              auto one = std::make_shared<PageWriteBatch>(1);
               {
                 std::lock_guard<std::mutex> lock(op->mu);
                 op->merged.push_back(buffer);
+                op->compacted.push_back(one);
               }
               Future<Unit> filled =
                   cs_old == 0
@@ -711,12 +684,11 @@ Future<Unit> BlobClient::BuildLeafAsync(std::shared_ptr<UpdateOp> op,
                                   std::move(*pieces), std::move(bases), 0,
                                   buffer->data());
                             });
-              return filled.Then([this, op, w, buffer,
+              return filled.Then([this, op, w, buffer, one,
                                   block](Result<Unit> r) -> Future<Unit> {
                 if (!r.ok()) return MakeReadyFuture(r.status());
                 std::memcpy(buffer->data() + w->frag.page_off,
                             w->bytes.data(), w->bytes.size());
-                auto one = std::make_shared<PageWriteBatch>(1);
                 one->pages[0].page_index = w->page_index;
                 one->pages[0].frag.page_off = 0;
                 one->pages[0].frag.len = static_cast<uint32_t>(buffer->size());
@@ -736,7 +708,7 @@ Future<Unit> BlobClient::BuildLeafAsync(std::shared_ptr<UpdateOp> op,
       });
 }
 
-Future<Unit> BlobClient::BuildAndWriteMetaAsync(std::shared_ptr<UpdateOp> op) {
+Future<Unit> BlobClient::PlanMetaAsync(std::shared_ptr<UpdateOp> op) {
   op->ancestry = op->desc.Ancestry();
   op->self_origin = op->ancestry.Resolve(op->ticket.version);
   op->border_map.clear();
@@ -745,110 +717,174 @@ Future<Unit> BlobClient::BuildAndWriteMetaAsync(std::shared_ptr<UpdateOp> op) {
   // blocks walks overlapping root-to-block paths.
   op->memo = std::make_shared<meta::MetaClient::SharedNodeMemo>();
 
-  // --- Leaves (paper Algorithm 4, first loop), all in parallel. ---
+  // --- Inner nodes (paper Algorithm 4, second loop): resolve the
+  // non-updated children of every new inner node, then assemble them. ---
+  const uint64_t psize = op->desc.psize;
+  const Extent range = op->ticket.range();
+  const Version vw = op->ticket.version;
+  struct InnerPlan {
+    Extent block;
+    Version left = kNoVersion;
+    Version right = kNoVersion;
+    int left_resolve = -1;  // index into `resolves`
+    int right_resolve = -1;
+  };
+  auto plans = std::make_shared<std::vector<InnerPlan>>();
+  std::vector<Future<Version>> resolves;
+  for (const Extent& block :
+       meta::UpdateNodeSet(range, op->ticket.new_size, psize)) {
+    if (meta::IsLeafBlock(block, psize)) continue;
+    InnerPlan plan;
+    plan.block = block;
+    Extent left = meta::LeftChildBlock(block);
+    Extent right = meta::RightChildBlock(block);
+    if (left.Intersects(range)) {
+      plan.left = vw;
+    } else {
+      plan.left_resolve = static_cast<int>(resolves.size());
+      resolves.push_back(ResolveBorderAsync(op, left));
+    }
+    if (right.Intersects(range)) {
+      plan.right = vw;
+    } else {
+      plan.right_resolve = static_cast<int>(resolves.size());
+      resolves.push_back(ResolveBorderAsync(op, right));
+    }
+    plans->push_back(plan);
+  }
+  return WhenAll(std::move(resolves))
+      .Then([op, plans](Result<std::vector<Result<Version>>> rs) -> Status {
+        if (!rs.ok()) return rs.status();
+        BS_RETURN_NOT_OK(FirstError(*rs));
+        for (const auto& plan : *plans) {
+          Version vl =
+              plan.left_resolve >= 0 ? *(*rs)[plan.left_resolve] : plan.left;
+          Version vr = plan.right_resolve >= 0 ? *(*rs)[plan.right_resolve]
+                                               : plan.right;
+          op->AddNode(plan.block, MetaNode::Inner(vl, vr));
+        }
+        return Status::OK();
+      });
+}
+
+Future<Unit> BlobClient::BuildLeavesAsync(std::shared_ptr<UpdateOp> op) {
+  // Paper Algorithm 4, first loop: every leaf in parallel.
   std::vector<Future<Unit>> leaves;
   leaves.reserve(op->batch->pages.size());
   for (PageWrite& w : op->batch->pages)
     leaves.push_back(BuildLeafAsync(op, &w));
+  return AllOf(std::move(leaves));
+}
 
-  return WhenAll(std::move(leaves))
-      .Then([this,
-             op](Result<std::vector<Result<Unit>>> all) -> Future<Unit> {
-        if (!all.ok()) return MakeReadyFuture(all.status());
-        Status first = FirstError(*all);
-        if (!first.ok()) return MakeReadyFuture(std::move(first));
-
-        // --- Inner nodes (second loop): resolve non-updated children of
-        // every new inner node, then assemble bottom-up. ---
-        const uint64_t psize = op->desc.psize;
-        const Extent range = op->ticket.range();
-        const Version vw = op->ticket.version;
-        struct InnerPlan {
-          Extent block;
-          Version left = kNoVersion;
-          Version right = kNoVersion;
-          int left_resolve = -1;   // index into `resolves`
-          int right_resolve = -1;
-        };
-        auto plans = std::make_shared<std::vector<InnerPlan>>();
-        std::vector<Future<Version>> resolves;
-        for (const Extent& block :
-             meta::UpdateNodeSet(range, op->ticket.new_size, psize)) {
-          if (meta::IsLeafBlock(block, psize)) continue;
-          InnerPlan plan;
-          plan.block = block;
-          Extent left = meta::LeftChildBlock(block);
-          Extent right = meta::RightChildBlock(block);
-          if (left.Intersects(range)) {
-            plan.left = vw;
-          } else {
-            plan.left_resolve = static_cast<int>(resolves.size());
-            resolves.push_back(ResolveBorderAsync(op, left));
-          }
-          if (right.Intersects(range)) {
-            plan.right = vw;
-          } else {
-            plan.right_resolve = static_cast<int>(resolves.size());
-            resolves.push_back(ResolveBorderAsync(op, right));
-          }
-          plans->push_back(plan);
-        }
-        return WhenAll(std::move(resolves))
-            .Then([this, op, plans](
-                      Result<std::vector<Result<Version>>> rs) -> Future<Unit> {
-              if (!rs.ok()) return MakeReadyFuture(rs.status());
-              Status first = FirstError(*rs);
-              if (!first.ok()) return MakeReadyFuture(std::move(first));
-              for (const auto& plan : *plans) {
-                Version vl = plan.left_resolve >= 0
-                                 ? *(*rs)[plan.left_resolve]
-                                 : plan.left;
-                Version vr = plan.right_resolve >= 0
-                                 ? *(*rs)[plan.right_resolve]
-                                 : plan.right;
-                op->AddNode(plan.block, MetaNode::Inner(vl, vr));
-              }
-              std::vector<std::pair<NodeKey, MetaNode>> nodes;
-              {
-                std::lock_guard<std::mutex> lock(op->mu);
-                nodes = std::move(op->nodes);
-              }
-              size_t count = nodes.size();
-              return meta_.WriteNodesAsync(std::move(nodes))
-                  .Then([this, op, count](Result<Unit> wr) -> Status {
-                    if (!wr.ok()) return wr.status();
-                    std::lock_guard<std::mutex> lock(stats_mu_);
-                    stats_.meta_nodes_written += count;
-                    return Status::OK();
-                  });
-            });
+Future<Unit> BlobClient::ShipUpdateAsync(std::shared_ptr<UpdateOp> op) {
+  // One DHT wave: every new tree node and the location entry of every page
+  // this update stored go out as one kDhtMultiPut per DHT node. None of it
+  // is reachable before NotifySuccess, so the wave changes no read
+  // semantics. Adopted pages already have a live entry (their refcount bump
+  // proved it); publishing again would reset its epoch history.
+  auto nodes = std::make_shared<std::vector<std::pair<NodeKey, MetaNode>>>(
+      std::move(op->nodes));
+  auto entries =
+      std::make_shared<std::vector<std::pair<PageId, locator::LocationEntry>>>();
+  std::vector<dht::PutRequest> wave;
+  wave.reserve(nodes->size() + op->batch->pages.size() + op->compacted.size());
+  for (const auto& [key, node] : *nodes)
+    wave.push_back(meta::MetaClient::NodePut(key, node));
+  auto publish = [&](const PageWriteBatch& b) {
+    for (const PageWrite& w : b.pages) {
+      if (w.adopted) continue;
+      locator::LocationEntry entry = locator::LocationIndex::FreshEntry(
+          w.replicas, w.hash.hi, w.hash.lo);
+      wave.push_back(locator::LocationIndex::PublishPut(w.frag.pid, entry));
+      entries->emplace_back(w.frag.pid, std::move(entry));
+    }
+  };
+  publish(*op->batch);
+  for (const auto& b : op->compacted) publish(*b);
+  return dht_.MultiPutAsync(std::move(wave))
+      .Then([this, entries](Result<Unit> r) -> Future<Unit> {
+        if (!r.ok()) return MakeReadyFuture(r.status());
+        // Feed the provider manager's location table so the rebuilder can
+        // heal these pages. Only now: the rebuilder forgets a reported page
+        // whose entry is missing. Required, not best-effort: a page the
+        // table never learns about would silently stay under-replicated
+        // after a provider loss.
+        pmanager::ReportLocationsRequest report;
+        report.added.reserve(entries->size());
+        for (const auto& [pid, entry] : *entries)
+          report.added.push_back(
+              pmanager::PageLocationInfo{pid, entry.epoch, entry.providers});
+        if (report.added.empty()) return MakeReadyFuture(Status::OK());
+        return pm_.ReportLocationsAsync(std::move(report));
+      })
+      .Then([this, nodes, entries](Result<Unit> r) -> Status {
+        if (!r.ok()) return r.status();
+        for (const auto& [pid, entry] : *entries)
+          locator_.NotePublished(pid, entry);
+        const size_t count = nodes->size();
+        meta_.CacheNodes(std::move(*nodes));
+        std::lock_guard<std::mutex> lock(stats_mu_);
+        stats_.meta_nodes_written += count;
+        stats_.locations_published += entries->size();
+        return Status::OK();
       });
 }
 
-Future<Version> BlobClient::RunUpdateAsync(std::shared_ptr<UpdateOp> op) {
-  Future<Unit> built =
-      BuildAndWriteMetaAsync(op).Then([this, op](Result<Unit> r)
-                                          -> Future<Unit> {
-        if (r.ok()) return MakeReadyFuture(Status::OK());
-        // The update cannot be completed: abort it so the version chain
-        // keeps advancing, then surface the original failure.
-        Status cause = r.status();
-        return AbortAsync(op->id, op->ticket.version)
-            .Then([cause](Result<Unit>) -> Status { return cause; });
-      });
-  return built.Then([this, op](Result<Unit> r) -> Future<Version> {
+Future<Version> BlobClient::RunUpdateAsync(std::shared_ptr<UpdateOp> op,
+                                           Future<Unit> stored) {
+  // The plan needs only the ticket, so it overlaps the page transfers. The
+  // leaves wait for them: dedup adoption may swap a page id.
+  std::vector<Future<Unit>> ready;
+  ready.push_back(std::move(stored));
+  ready.push_back(PlanMetaAsync(op));
+  Future<Unit> shipped =
+      AllOf(std::move(ready))
+          .Then([this, op](Result<Unit> r) -> Future<Unit> {
+            if (!r.ok()) return MakeReadyFuture(r.status());
+            return BuildLeavesAsync(op);
+          })
+          .Then([this, op](Result<Unit> r) -> Future<Unit> {
+            if (!r.ok()) return MakeReadyFuture(r.status());
+            return ShipUpdateAsync(op);
+          })
+          .Then([this, op](Result<Unit> r) -> Future<Unit> {
+            if (r.ok()) return MakeReadyFuture(Status::OK());
+            // The update cannot be completed: delete its pages and, unless
+            // it is an abort repair already, abort it so the version chain
+            // keeps advancing. Then surface the original failure.
+            Status cause = r.status();
+            std::vector<Future<Unit>> deletions;
+            deletions.push_back(DeletePagesAsync(op->batch));
+            for (const auto& b : op->compacted)
+              deletions.push_back(DeletePagesAsync(b));
+            Future<Unit> cleaned = AllOf(std::move(deletions));
+            if (op->kind != UpdateOp::Kind::kRepair) {
+              cleaned = cleaned.Then([this, op](Result<Unit>) {
+                return AbortAsync(op->id, op->ticket.version);
+              });
+            }
+            return cleaned.Then([cause](Result<Unit>) -> Status {
+              return cause;
+            });
+          });
+  return shipped.Then([this, op](Result<Unit> r) -> Future<Version> {
     if (!r.ok()) return MakeReadyFuture<Version>(r.status());
     return vm_.NotifySuccessAsync(op->id, op->ticket.version)
         .Then([this, op](Result<Unit> n) -> Result<Version> {
           if (!n.ok()) return n.status();
-          {
-            std::lock_guard<std::mutex> lock(stats_mu_);
-            if (op->is_append) {
-              stats_.appends++;
-            } else {
+          std::lock_guard<std::mutex> lock(stats_mu_);
+          switch (op->kind) {
+            case UpdateOp::Kind::kWrite:
               stats_.writes++;
-            }
-            stats_.bytes_written += op->data.size();
+              stats_.bytes_written += op->data.size();
+              break;
+            case UpdateOp::Kind::kAppend:
+              stats_.appends++;
+              stats_.bytes_written += op->data.size();
+              break;
+            case UpdateOp::Kind::kRepair:
+              stats_.repairs++;
+              break;
           }
           return op->ticket.version;
         });
@@ -864,7 +900,7 @@ Future<Version> BlobClient::WriteAsync(BlobId id, Slice data,
   op->id = id;
   op->data = data;
   op->offset = offset;
-  op->is_append = false;
+  op->kind = UpdateOp::Kind::kWrite;
   Future<Version> f = op->promise.GetFuture();
 
   DescriptorAsync(id).OnReady(nullptr, [this, op](Result<BlobDescriptor> d) {
@@ -896,9 +932,10 @@ Future<Version> BlobClient::WriteAsync(BlobId id, Slice data,
               return;
             }
             op->ticket = std::move(t).ValueUnsafe();
-            RunUpdateAsync(op).OnReady(nullptr, [op](Result<Version> v) {
-              op->promise.Set(std::move(v));
-            });
+            RunUpdateAsync(op, MakeReadyFuture(Status::OK()))
+                .OnReady(nullptr, [op](Result<Version> v) {
+                  op->promise.Set(std::move(v));
+                });
           });
     });
   });
@@ -912,7 +949,7 @@ Future<Version> BlobClient::AppendAsync(BlobId id, Slice data) {
   op->c = this;
   op->id = id;
   op->data = data;
-  op->is_append = true;
+  op->kind = UpdateOp::Kind::kAppend;
   Future<Version> f = op->promise.GetFuture();
 
   DescriptorAsync(id).OnReady(nullptr, [this, op](Result<BlobDescriptor> d) {
@@ -934,19 +971,9 @@ Future<Version> BlobClient::AppendAsync(BlobId id, Slice data) {
           op->offset = op->ticket.offset;
           op->batch = std::make_shared<PageWriteBatch>(
               SplitIntoPages(op->data, op->offset, op->desc.psize));
-          StorePagesAsync(op->batch)
-              .OnReady(nullptr, [this, op](Result<Unit> s) {
-                if (!s.ok()) {
-                  Status cause = s.status();
-                  AbortAsync(op->id, op->ticket.version)
-                      .OnReady(nullptr, [op, cause](Result<Unit>) {
-                        op->promise.Set(cause);
-                      });
-                  return;
-                }
-                RunUpdateAsync(op).OnReady(nullptr, [op](Result<Version> v) {
-                  op->promise.Set(std::move(v));
-                });
+          RunUpdateAsync(op, StorePagesAsync(op->batch))
+              .OnReady(nullptr, [op](Result<Version> v) {
+                op->promise.Set(std::move(v));
               });
         });
   });
@@ -1316,6 +1343,7 @@ Future<Unit> BlobClient::AbortAsync(BlobId id, Version version) {
               auto op = std::make_shared<UpdateOp>();
               op->c = this;
               op->id = id;
+              op->kind = UpdateOp::Kind::kRepair;
               op->desc = d;
               op->ticket = outcome->repair;
               op->zeros.assign(op->ticket.size, '\0');
@@ -1323,24 +1351,8 @@ Future<Unit> BlobClient::AbortAsync(BlobId id, Version version) {
               op->offset = op->ticket.offset;
               op->batch = std::make_shared<PageWriteBatch>(
                   SplitIntoPages(op->data, op->offset, d.psize));
-              return StorePagesAsync(op->batch)
-                  .Then([this, op](Result<Unit> stored) -> Future<Unit> {
-                    if (!stored.ok())
-                      return MakeReadyFuture(stored.status());
-                    return BuildAndWriteMetaAsync(op).Then(
-                        [this, op](Result<Unit> built) -> Future<Unit> {
-                          if (!built.ok())
-                            return MakeReadyFuture(built.status());
-                          return vm_
-                              .NotifySuccessAsync(op->id, op->ticket.version)
-                              .Then([this, op](Result<Unit> n) -> Status {
-                                if (!n.ok()) return n.status();
-                                std::lock_guard<std::mutex> lock(stats_mu_);
-                                stats_.repairs++;
-                                return Status::OK();
-                              });
-                        });
-                  });
+              return RunUpdateAsync(op, StorePagesAsync(op->batch))
+                  .Then([](Result<Version> v) -> Status { return v.status(); });
             });
       });
 }

@@ -277,12 +277,6 @@ class BlobClient {
   /// Best-effort physical deletion of one dead page (location entry plus
   /// every replica copy) once its refcount proved no one references it.
   Future<Unit> PurgePageAsync(PageId pid, std::vector<ProviderId> replicas);
-  /// Publishes one location entry per stored page and reports the batch to
-  /// the provider manager's location table. A page without a location entry
-  /// is unreadable under v3 metadata, so a publish failure fails the update
-  /// (the caller's cleanup then deletes the orphaned pages).
-  Future<Unit> PublishLocationsAsync(std::shared_ptr<PageWriteBatch> batch);
-
   /// Best-effort deletion of already-stored pages — every replica of every
   /// page plus its location entry (failure cleanup); waits for the batch's
   /// straggler barrier first; always resolves OK.
@@ -312,16 +306,26 @@ class BlobClient {
   void EndDetachedOp();
   void DrainDetachedOps();
 
-  /// Stage 2 of an update: version assigned, pages stored (WRITE) or about
-  /// to be stored (APPEND) — runs the remaining chain through metadata
-  /// build and publication.
-  Future<Version> RunUpdateAsync(std::shared_ptr<UpdateOp> op);
+  /// Stage 2 of an update: version assigned; `stored` resolves once the
+  /// update's page writes are durable (WRITE stores before it is assigned a
+  /// version, so its `stored` is ready). Plans the tree while the pages are
+  /// in flight, builds the leaves, ships the update's DHT wave, reports the
+  /// pages to the provider manager and publishes. A failure deletes the
+  /// update's pages and, unless the op is an abort repair, aborts it.
+  Future<Version> RunUpdateAsync(std::shared_ptr<UpdateOp> op,
+                                 Future<Unit> stored);
 
-  /// Builds the new snapshot's tree (paper Algorithm 4) and writes it:
-  /// leaves (with chain bookkeeping and compaction) fan out in parallel,
-  /// then inner nodes assemble from border resolutions, then all nodes are
-  /// written in one wave.
-  Future<Unit> BuildAndWriteMetaAsync(std::shared_ptr<UpdateOp> op);
+  /// Builds the new snapshot's tree (paper Algorithm 4) in three steps.
+  /// PlanMetaAsync needs only the ticket: it sets up the op's border
+  /// state, resolves the non-updated children of the new inner nodes and
+  /// assembles those nodes. BuildLeavesAsync needs the stored pages: it
+  /// builds every leaf in parallel (chain bookkeeping, compaction).
+  /// ShipUpdateAsync sends all new nodes and the location entries of every
+  /// page the update stored as one kDhtMultiPut per DHT node, then reports
+  /// the pages to the provider manager's location table.
+  Future<Unit> PlanMetaAsync(std::shared_ptr<UpdateOp> op);
+  Future<Unit> BuildLeavesAsync(std::shared_ptr<UpdateOp> op);
+  Future<Unit> ShipUpdateAsync(std::shared_ptr<UpdateOp> op);
   Future<Unit> BuildLeafAsync(std::shared_ptr<UpdateOp> op, PageWrite* w);
   Future<Version> ResolveBorderAsync(std::shared_ptr<UpdateOp> op,
                                      const Extent& block);

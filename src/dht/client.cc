@@ -46,23 +46,63 @@ Future<CasResponse> DhtClient::CasAsync(Slice key, Slice expected,
   });
 }
 
-Future<Unit> DhtClient::PutAsync(Slice key, Slice value) {
-  auto req = PutRequest{key.ToString(), value.ToString()};
-  std::vector<Future<rpc::Empty>> calls;
-  for (size_t node : placement_->ReplicaNodes(key, options_.replication)) {
-    calls.push_back(pool_.CallWithReconnect<PutRequest, rpc::Empty>(
-        nodes_[node], rpc::Method::kDhtPut, req));
+Future<Unit> DhtClient::MultiPutAsync(std::vector<PutRequest> entries) {
+  if (entries.empty()) return MakeReadyFuture(Status::OK());
+  struct Batch {
+    size_t node = 0;
+    MultiPutRequest req;
+    size_t bytes = 0;
+  };
+  std::vector<Batch> batches;
+  // keys[b]: indices of the entries batch b carries.
+  std::vector<std::vector<size_t>> keys;
+  std::vector<size_t> open(nodes_.size(), SIZE_MAX);  // node -> its batch
+  const size_t n = entries.size();
+  for (size_t i = 0; i < n; i++) {
+    std::vector<size_t> replicas =
+        placement_->ReplicaNodes(Slice(entries[i].key), options_.replication);
+    const size_t bytes = 8 + entries[i].key.size() + entries[i].value.size();
+    for (size_t j = 0; j < replicas.size(); j++) {
+      size_t& b = open[replicas[j]];
+      if (b == SIZE_MAX ||
+          batches[b].bytes + bytes > options_.max_batch_bytes) {
+        b = batches.size();
+        batches.push_back(Batch{replicas[j], {}, 0});
+        keys.emplace_back();
+      }
+      batches[b].bytes += bytes;
+      keys[b].push_back(i);
+      // The last replica takes the entry itself; the others copy it.
+      if (j + 1 == replicas.size()) {
+        batches[b].req.entries.push_back(std::move(entries[i]));
+      } else {
+        batches[b].req.entries.push_back(entries[i]);
+      }
+    }
   }
-  if (calls.empty()) return MakeReadyFuture(Status::Unavailable("dht put"));
+  std::vector<Future<rpc::Empty>> calls;
+  calls.reserve(batches.size());
+  for (Batch& b : batches) {
+    calls.push_back(pool_.CallWithReconnect<MultiPutRequest, rpc::Empty>(
+        nodes_[b.node], rpc::Method::kDhtMultiPut, std::move(b.req)));
+  }
   return WhenAll(std::move(calls))
-      .Then([](Result<std::vector<Result<rpc::Empty>>> all) -> Status {
+      .Then([n, keys = std::move(keys)](
+                Result<std::vector<Result<rpc::Empty>>> all) -> Status {
         if (!all.ok()) return all.status();
+        std::vector<bool> accepted(n, false);
         Status first;
-        for (const auto& r : *all) {
-          if (r.ok()) return Status::OK();
-          if (first.ok()) first = r.status();
+        for (size_t b = 0; b < all->size(); b++) {
+          if (!(*all)[b].ok()) {
+            if (first.ok()) first = (*all)[b].status();
+            continue;
+          }
+          for (size_t i : keys[b]) accepted[i] = true;
         }
-        return first.ok() ? Status::Unavailable("dht put") : first;
+        for (bool a : accepted) {
+          if (!a) return first.ok() ? Status::Unavailable("dht put") : first;
+        }
+        return Status::OK();
       });
 }
 

@@ -23,6 +23,9 @@ struct DhtClientOptions {
   size_t channels_per_endpoint = 4;
   /// Placement scheme: "static" (paper) or "ring".
   std::string placement = "static";
+  /// A multi-put batch to one node is split once its encoded entries pass
+  /// this many bytes, to stay well inside the transport's frame limit.
+  size_t max_batch_bytes = rpc::kMaxFrame / 2;
 };
 
 class DhtClient {
@@ -32,10 +35,14 @@ class DhtClient {
   DhtClient(rpc::Transport* transport, std::vector<std::string> nodes,
             DhtClientOptions options = {});
 
-  /// PutAsync resolves OK once at least one replica accepted (replicas are
-  /// written in parallel); GetAsync falls back across replicas in placement
-  /// order; DeleteAsync fails with the first replica error.
-  Future<Unit> PutAsync(Slice key, Slice value);
+  /// Puts every entry with one kDhtMultiPut per replica node (more only
+  /// when a batch passes `max_batch_bytes`); replicas are written in
+  /// parallel. Resolves OK once every key was accepted by at least one of
+  /// its replicas; otherwise fails with the first batch error. An empty
+  /// batch resolves OK at once.
+  Future<Unit> MultiPutAsync(std::vector<PutRequest> entries);
+  /// GetAsync falls back across replicas in placement order; DeleteAsync
+  /// fails with the first replica error.
   Future<std::string> GetAsync(Slice key);
   Future<Unit> DeleteAsync(Slice key);
 

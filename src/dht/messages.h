@@ -58,6 +58,14 @@ struct MultiGetRequest {
   BS_FIELDS(MultiGetRequest, keys)
 };
 
+/// Many puts to one node in one round trip: an update ships its tree nodes
+/// and location entries as one batch per DHT node. Each entry is applied
+/// like a single put (last writer wins per key); the batch is not atomic.
+struct MultiPutRequest {
+  std::vector<PutRequest> entries;
+  BS_FIELDS(MultiPutRequest, entries)
+};
+
 struct MultiGetResponse {
   /// found[i] says whether keys[i] existed; values carries entries only for
   /// found keys, in order.

@@ -16,6 +16,13 @@ Status DhtService::Handle(rpc::Method method, Slice payload,
           payload, response, [this](const PutRequest& req, rpc::Empty*) {
             return store_.Put(Slice(req.key), Slice(req.value));
           });
+    case rpc::Method::kDhtMultiPut:
+      return DispatchTyped<MultiPutRequest, rpc::Empty>(
+          payload, response, [this](const MultiPutRequest& req, rpc::Empty*) {
+            for (const PutRequest& e : req.entries)
+              BS_RETURN_NOT_OK(store_.Put(Slice(e.key), Slice(e.value)));
+            return Status::OK();
+          });
     case rpc::Method::kDhtGet:
       return DispatchTyped<GetRequest, GetResponse>(
           payload, response, [this](const GetRequest& req, GetResponse* rsp) {

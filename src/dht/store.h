@@ -4,8 +4,10 @@
 
 #include <atomic>
 #include <cstdint>
+#include <memory>
 #include <mutex>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <vector>
 
@@ -51,10 +53,18 @@ class KvStore {
   StoreStats GetStats() const;
 
  private:
+  /// One entry in one heap block: the key bytes, then the value bytes. The
+  /// map's key view points into the block, so each key is stored once.
+  struct Slot {
+    std::unique_ptr<char[]> block;
+    size_t value_size = 0;
+  };
   struct Shard {
     mutable std::mutex mu;
-    std::unordered_map<std::string, std::string> map;
+    std::unordered_map<std::string_view, Slot> map;
   };
+  /// Inserts a new entry, or overwrites an existing one (last writer wins).
+  void Install(Shard& s, Slice key, Slice value);
   size_t ShardFor(Slice key) const;
 
   std::vector<Shard> shards_;

@@ -83,14 +83,27 @@ Future<LocationEntry> LocationIndex::ResolveAsync(const PageId& pid) {
       });
 }
 
+LocationEntry LocationIndex::FreshEntry(std::vector<ProviderId> providers,
+                                       uint64_t hash_hi, uint64_t hash_lo) {
+  return LocationEntry{1, std::move(providers), 1, hash_hi, hash_lo};
+}
+
+dht::PutRequest LocationIndex::PublishPut(const PageId& pid,
+                                          const LocationEntry& entry) {
+  return dht::PutRequest{LocationKey(pid), EncodePayload(entry)};
+}
+
+void LocationIndex::NotePublished(const PageId& pid,
+                                  const LocationEntry& entry) {
+  CacheInsert(pid, entry);
+}
+
 Future<Unit> LocationIndex::PublishAsync(const PageId& pid,
-                                         std::vector<ProviderId> providers,
-                                         uint64_t hash_hi, uint64_t hash_lo) {
-  auto entry = std::make_shared<LocationEntry>(
-      LocationEntry{1, std::move(providers), 1, hash_hi, hash_lo});
-  return dht_->PutAsync(Slice(LocationKey(pid)), Slice(EncodePayload(*entry)))
+                                         std::vector<ProviderId> providers) {
+  LocationEntry entry = FreshEntry(std::move(providers));
+  return dht_->MultiPutAsync({PublishPut(pid, entry)})
       .Then([this, pid, entry](Result<Unit> r) -> Result<Unit> {
-        if (r.ok()) CacheInsert(pid, *entry);
+        if (r.ok()) NotePublished(pid, entry);
         return r;
       });
 }

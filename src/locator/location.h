@@ -70,13 +70,22 @@ class LocationIndex {
   /// entry exists (deleted page).
   Future<LocationEntry> ResolveAsync(const PageId& pid);
 
-  /// Installs the entry for a freshly written page at epoch 1 with refs=1.
-  /// A plain put: PageIds are minted client-locally and never reused, so no
-  /// other writer can race this key. `hash_hi`/`hash_lo` record the content
-  /// hash the page is addressed by when dedup is on (0/0 = none).
+  /// The entry of a freshly written page — epoch 1, refs 1 — and the DHT
+  /// put that installs it. A plain put: PageIds are minted client-locally
+  /// and never reused, so no other writer can race this key. `hash_hi`/
+  /// `hash_lo` record the content hash the page is addressed by when dedup
+  /// is on (0/0 = none). Writers ship these puts with their tree nodes in
+  /// one multi-put wave, then record each entry with NotePublished.
+  static LocationEntry FreshEntry(std::vector<ProviderId> providers,
+                                  uint64_t hash_hi = 0, uint64_t hash_lo = 0);
+  static dht::PutRequest PublishPut(const PageId& pid,
+                                    const LocationEntry& entry);
+  void NotePublished(const PageId& pid, const LocationEntry& entry);
+
+  /// Publishes one fresh page's entry on its own (PublishPut, then
+  /// NotePublished).
   Future<Unit> PublishAsync(const PageId& pid,
-                            std::vector<ProviderId> providers,
-                            uint64_t hash_hi = 0, uint64_t hash_lo = 0);
+                            std::vector<ProviderId> providers);
 
   /// Full-entry CAS: installs `next` (with epoch forced to
   /// `expected.epoch + 1`) iff the stored bytes still equal `expected`.

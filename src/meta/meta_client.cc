@@ -7,24 +7,24 @@ namespace blobseer::meta {
 MetaClient::MetaClient(dht::DhtClient* dht, MetaClientOptions options)
     : dht_(dht), options_(options) {}
 
-void MetaClient::CacheInsert(const std::string& key, const MetaNode& node) {
-  if (!options_.cache_enabled) return;
-  std::lock_guard<std::mutex> lock(cache_mu_);
-  auto it = cache_.find(key);
-  if (it != cache_.end()) {
-    lru_.splice(lru_.begin(), lru_, it->second);
+void MetaClient::CacheInsertLocked(const NodeKey& key, MetaNode node) {
+  auto [it, inserted] = cache_.try_emplace(key);
+  it->second.node = std::move(node);
+  if (!inserted) {
+    lru_.splice(lru_.begin(), lru_, it->second.lru);
     return;
   }
-  lru_.emplace_front(key, node);
-  cache_[key] = lru_.begin();
+  lru_.push_front(&it->first);
+  it->second.lru = lru_.begin();
   cache_stats_.puts++;
   while (cache_.size() > options_.cache_capacity) {
-    cache_.erase(lru_.back().first);
+    auto victim = cache_.find(*lru_.back());
     lru_.pop_back();
+    cache_.erase(victim);
   }
 }
 
-bool MetaClient::CacheLookup(const std::string& key, MetaNode* node) {
+bool MetaClient::CacheLookup(const NodeKey& key, MetaNode* node) {
   if (!options_.cache_enabled) return false;
   std::lock_guard<std::mutex> lock(cache_mu_);
   auto it = cache_.find(key);
@@ -33,34 +33,35 @@ bool MetaClient::CacheLookup(const std::string& key, MetaNode* node) {
     return false;
   }
   cache_stats_.hits++;
-  lru_.splice(lru_.begin(), lru_, it->second);
-  *node = it->second->second;
+  lru_.splice(lru_.begin(), lru_, it->second.lru);
+  *node = it->second.node;
   return true;
 }
 
-Future<Unit> MetaClient::PutNodeAsync(const NodeKey& key,
-                                      const MetaNode& node) {
-  std::string k = key.ToDhtKey();
-  return dht_->PutAsync(Slice(k), Slice(EncodePayload(node)))
-      .Then([this, k, node](Result<Unit> r) -> Status {
-        if (!r.ok()) return r.status();
-        CacheInsert(k, node);
-        return Status::OK();
-      });
+dht::PutRequest MetaClient::NodePut(const NodeKey& key, const MetaNode& node) {
+  return dht::PutRequest{key.ToDhtKey(), EncodePayload(node)};
+}
+
+void MetaClient::CacheNodes(std::vector<std::pair<NodeKey, MetaNode>> nodes) {
+  if (!options_.cache_enabled) return;
+  std::lock_guard<std::mutex> lock(cache_mu_);
+  for (auto& [key, node] : nodes) CacheInsertLocked(key, std::move(node));
 }
 
 Future<MetaNode> MetaClient::GetNodeAsync(const NodeKey& key) {
-  std::string k = key.ToDhtKey();
   MetaNode cached;
-  if (CacheLookup(k, &cached))
+  if (CacheLookup(key, &cached))
     return MakeReadyFuture<MetaNode>(std::move(cached));
-  return dht_->GetAsync(Slice(k)).Then(
-      [this, k, key](Result<std::string> raw) -> Result<MetaNode> {
+  return dht_->GetAsync(Slice(key.ToDhtKey()))
+      .Then([this, key](Result<std::string> raw) -> Result<MetaNode> {
         if (!raw.ok())
           return raw.status().WithContext("metadata node " + key.ToString());
         MetaNode node;
         BS_RETURN_NOT_OK(DecodePayload(Slice(*raw), &node));
-        CacheInsert(k, node);
+        if (options_.cache_enabled) {
+          std::lock_guard<std::mutex> lock(cache_mu_);
+          CacheInsertLocked(key, node);
+        }
         return node;
       });
 }
@@ -68,34 +69,19 @@ Future<MetaNode> MetaClient::GetNodeAsync(const NodeKey& key) {
 Future<MetaNode> MetaClient::GetNodeMemoizedAsync(
     const NodeKey& key, std::shared_ptr<SharedNodeMemo> memo) {
   if (!memo) return GetNodeAsync(key);
-  std::string k = key.ToDhtKey();
   {
     std::lock_guard<std::mutex> lock(memo->mu);
-    auto it = memo->map.find(k);
+    auto it = memo->map.find(key);
     if (it != memo->map.end())
       return MakeReadyFuture<MetaNode>(MetaNode(it->second));
   }
   return GetNodeAsync(key).Then(
-      [memo, k](Result<MetaNode> node) -> Result<MetaNode> {
+      [memo, key](Result<MetaNode> node) -> Result<MetaNode> {
         if (node.ok()) {
           std::lock_guard<std::mutex> lock(memo->mu);
-          memo->map.emplace(k, *node);
+          memo->map.emplace(key, *node);
         }
         return node;
-      });
-}
-
-Future<Unit> MetaClient::WriteNodesAsync(
-    std::vector<std::pair<NodeKey, MetaNode>> nodes) {
-  std::vector<Future<Unit>> puts;
-  puts.reserve(nodes.size());
-  for (const auto& [key, node] : nodes) {
-    puts.push_back(PutNodeAsync(key, node));
-  }
-  return WhenAll(std::move(puts))
-      .Then([](Result<std::vector<Result<Unit>>> all) -> Status {
-        if (!all.ok()) return all.status();
-        return FirstError(*all);
       });
 }
 

@@ -7,7 +7,6 @@
 #include <list>
 #include <memory>
 #include <mutex>
-#include <string>
 #include <unordered_map>
 #include <utility>
 #include <vector>
@@ -55,25 +54,27 @@ class MetaClient {
   /// update's border resolutions run as concurrent continuation chains.
   struct SharedNodeMemo {
     std::mutex mu;
-    std::unordered_map<std::string, MetaNode> map;
+    std::unordered_map<NodeKey, MetaNode> map;
   };
 
   /// Node and tree operations. Continuations resolve on the DHT transport's
   /// completion context; cache hits resolve immediately on the calling
   /// thread.
 
-  /// Stores one node (and caches it: the writer is the likeliest next
-  /// reader during subsequent border descents).
-  Future<Unit> PutNodeAsync(const NodeKey& key, const MetaNode& node);
+  /// The DHT put that stores `node` under `key`. Writers ship these with
+  /// their location entries in one multi-put wave (paper Algorithm 4's
+  /// final loop).
+  static dht::PutRequest NodePut(const NodeKey& key, const MetaNode& node);
+  /// Caches nodes the caller has just stored: the writer is the likeliest
+  /// next reader during subsequent border descents. A cached node under the
+  /// same key is replaced, as in the DHT: an abort repair rewrites the
+  /// failed update's keys with zero-fill leaves.
+  void CacheNodes(std::vector<std::pair<NodeKey, MetaNode>> nodes);
   /// Fetches one node, through the cache.
   Future<MetaNode> GetNodeAsync(const NodeKey& key);
   /// GetNodeAsync through an optional per-operation memo.
   Future<MetaNode> GetNodeMemoizedAsync(const NodeKey& key,
                                         std::shared_ptr<SharedNodeMemo> memo);
-  /// Writes a batch of nodes (paper Algorithm 4, final loop). All puts are
-  /// issued at once; per-endpoint pipelining bounds the real parallelism.
-  Future<Unit> WriteNodesAsync(
-      std::vector<std::pair<NodeKey, MetaNode>> nodes);
   /// Paper Algorithm 3 (READ_META): collects every leaf of snapshot
   /// `version` whose page block intersects `range`, one parallel wave of
   /// node fetches per tree level.
@@ -98,18 +99,21 @@ class MetaClient {
   void set_cache_enabled(bool enabled);
 
  private:
-  void CacheInsert(const std::string& key, const MetaNode& node);
-  bool CacheLookup(const std::string& key, MetaNode* node);
+  void CacheInsertLocked(const NodeKey& key, MetaNode node);
+  bool CacheLookup(const NodeKey& key, MetaNode* node);
 
   dht::DhtClient* dht_;
   MetaClientOptions options_;
 
   mutable std::mutex cache_mu_;
-  // LRU: most-recent at front.
-  std::list<std::pair<std::string, MetaNode>> lru_;
-  std::unordered_map<std::string,
-                     std::list<std::pair<std::string, MetaNode>>::iterator>
-      cache_;
+  struct CacheEntry {
+    MetaNode node;
+    std::list<const NodeKey*>::iterator lru;
+  };
+  // LRU order, most recent at front. Entries point at their map keys, so
+  // each NodeKey is stored once.
+  std::list<const NodeKey*> lru_;
+  std::unordered_map<NodeKey, CacheEntry> cache_;
   MetaCacheStats cache_stats_;
 };
 

@@ -5,6 +5,7 @@
 #include <string>
 #include <vector>
 
+#include "common/hash.h"
 #include "common/serde.h"
 #include "common/types.h"
 
@@ -97,5 +98,17 @@ struct MetaNode {
 };
 
 }  // namespace blobseer::meta
+
+namespace std {
+template <>
+struct hash<blobseer::meta::NodeKey> {
+  size_t operator()(const blobseer::meta::NodeKey& k) const noexcept {
+    return static_cast<size_t>(
+        blobseer::HashCombine(blobseer::HashCombine(k.origin, k.version),
+                              blobseer::HashCombine(k.block.offset,
+                                                    k.block.size)));
+  }
+};
+}  // namespace std
 
 #endif  // BLOBSEER_META_NODE_H_

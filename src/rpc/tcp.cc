@@ -24,7 +24,6 @@ namespace blobseer::rpc {
 
 namespace {
 
-constexpr uint32_t kMaxFrame = 256u * 1024 * 1024;
 /// Request body prefix: [u64 corr_id][u32 method].
 constexpr uint32_t kReqHeaderBytes = 12;
 /// Response body prefix: [u64 corr_id][u8 code][u32 msg_len].

@@ -43,6 +43,7 @@ enum class Method : uint32_t {
   kDhtMultiGet = 103,
   kDhtStats = 104,
   kDhtCas = 105,
+  kDhtMultiPut = 106,
 
   // Data provider service.
   kProviderWrite = 200,
@@ -82,6 +83,10 @@ enum class Method : uint32_t {
   kCentralGetLayout = 502,
   kCentralGetRecent = 503,
 };
+
+/// Largest TCP frame body either side accepts; callers that batch requests
+/// keep each batch well below it.
+inline constexpr uint32_t kMaxFrame = 256u * 1024 * 1024;
 
 /// Per-message fixed wire overhead (framing + TCP/IP headers) charged by the
 /// simulated transport so small metadata RPCs have realistic cost.

@@ -5,6 +5,8 @@
 #include <filesystem>
 
 #include "core/cluster.h"
+#include "dht/messages.h"
+#include "recording_transport.h"
 #include "reference_blob.h"
 
 namespace blobseer {
@@ -280,6 +282,87 @@ TEST_F(ClientBasicTest, LogBackedProvidersRoundTrip) {
   std::string out;
   ASSERT_TRUE(blob.Read(1, 0, 500, &out).ok());
   EXPECT_EQ(out, payload);
+}
+
+// One 4-page append into a 2048-page blob (r=1, 4 DHT nodes) ends with one
+// DHT wave: the page writes are durable before it, the update's tree nodes
+// and location entries travel only as kDhtMultiPut batches (at most one per
+// DHT node), the provider manager hears of the pages only after every batch
+// landed (its rebuilder forgets a reported page whose entry is missing),
+// and publication comes last.
+TEST_F(ClientBasicTest, AppendEndsWithOneDhtWave) {
+  testing::RecordingTransport rec(cluster_->transport());
+  BlobClient writer(&rec, cluster_->vmanager_address(),
+                    cluster_->pmanager_address(), cluster_->dht_addresses());
+  constexpr uint64_t kPsize = 64;
+  auto id = writer.Create(kPsize);
+  ASSERT_TRUE(id.ok());
+  std::string base = TestPayload(0, 2048 * kPsize);
+  ASSERT_TRUE(writer.Append(*id, Slice(base)).ok());
+  const size_t mark = rec.calls().size();
+  const uint64_t nodes_before = writer.GetStats().meta_nodes_written;
+
+  std::string tail = TestPayload(1, 4 * kPsize);
+  ASSERT_TRUE(writer.Append(*id, Slice(tail)).ok());
+  std::vector<testing::RecordingTransport::Call> calls = rec.calls();
+  calls.erase(calls.begin(), calls.begin() + mark);
+
+  size_t page_writes = 0, dht_writes = 0, node_keys = 0, location_keys = 0;
+  uint64_t last_page_write = 0, first_wave = UINT64_MAX, last_wave = 0;
+  for (const auto& call : calls) {
+    ASSERT_NE(call.finished, 0u) << "call still in flight";
+    ASSERT_TRUE(call.status.ok()) << call.status.ToString();
+    switch (call.method) {
+      case rpc::Method::kProviderWrite:
+        page_writes++;
+        last_page_write = std::max(last_page_write, call.finished);
+        break;
+      case rpc::Method::kDhtPut:
+      case rpc::Method::kDhtCas:
+        dht_writes++;
+        ADD_FAILURE() << "single-key DHT write";
+        break;
+      case rpc::Method::kDhtMultiPut: {
+        dht_writes++;
+        first_wave = std::min(first_wave, call.started);
+        last_wave = std::max(last_wave, call.finished);
+        dht::MultiPutRequest req;
+        ASSERT_TRUE(DecodePayload(Slice(call.request), &req).ok());
+        for (const auto& e : req.entries) {
+          ASSERT_FALSE(e.key.empty());
+          if (e.key[0] == 'N') node_keys++;
+          if (e.key[0] == 'L') location_keys++;
+        }
+        break;
+      }
+      default:
+        break;
+    }
+  }
+  EXPECT_EQ(page_writes, 4u);
+  EXPECT_LE(dht_writes, cluster_->dht_addresses().size());
+  EXPECT_EQ(location_keys, 4u);
+  EXPECT_EQ(node_keys, writer.GetStats().meta_nodes_written - nodes_before);
+  EXPECT_GT(node_keys, 4u);
+  EXPECT_LT(last_page_write, first_wave);
+
+  size_t reports = 0;
+  for (const auto& call : calls) {
+    if (call.method != rpc::Method::kPmReportLocations) continue;
+    reports++;
+    EXPECT_GT(call.started, last_wave);
+  }
+  EXPECT_EQ(reports, 1u);
+  ASSERT_FALSE(calls.empty());
+  const auto& last = calls.back();  // calls are in start order
+  EXPECT_EQ(last.method, rpc::Method::kVmNotifySuccess);
+  for (size_t i = 0; i + 1 < calls.size(); i++)
+    EXPECT_LT(calls[i].finished, last.started);
+
+  ASSERT_TRUE(writer.Sync(*id, 2).ok());
+  std::string out;
+  ASSERT_TRUE(writer.Read(*id, 2, base.size(), tail.size(), &out).ok());
+  EXPECT_EQ(out, tail);
 }
 
 }  // namespace

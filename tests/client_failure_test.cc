@@ -4,7 +4,10 @@
 // here.
 #include <gtest/gtest.h>
 
+#include <atomic>
+
 #include "core/cluster.h"
+#include "recording_transport.h"
 #include "reference_blob.h"
 
 namespace blobseer {
@@ -172,6 +175,62 @@ TEST_F(FailureTest, MetadataNodeLossDetectedOnRead) {
       (*cluster)->dht_addresses()[0]).ok());
   std::string out;
   EXPECT_FALSE(blob.Read(1, 0, 128, &out).ok());
+}
+
+// A DHT node that fails its multi-put mid-update leaves the update's wave
+// partly landed. The writer aborts it; a successor is already assigned, so
+// the abort repairs the version as zeros, rewriting the same node keys. The
+// writer and a fresh client must then read the same zeros.
+TEST_F(FailureTest, PartialDhtWaveRepairsToZerosForEveryReader) {
+  testing::RecordingTransport rec(cluster_->transport());
+  BlobClient writer(&rec, cluster_->vmanager_address(),
+                    cluster_->pmanager_address(), cluster_->dht_addresses());
+  auto id = writer.Create(64);
+  ASSERT_TRUE(id.ok());
+  Blob blob(&writer, *id);
+  std::string base = TestPayload(0, 64 * 8);
+  ASSERT_TRUE(blob.AppendSync(base).ok());
+
+  const std::string down = cluster_->dht_addresses()[0];
+  std::atomic<bool> dht_down{true};
+  std::atomic<Version> successor{kNoVersion};
+  rec.set_fault([&](rpc::Method method, const std::string& address) {
+    // The node is back by the time the writer aborts, so the repair lands.
+    if (method == rpc::Method::kVmAbortUpdate) dht_down = false;
+    if (method != rpc::Method::kDhtMultiPut || address != down || !dht_down)
+      return Status::OK();
+    if (successor == kNoVersion) {
+      // Another writer is assigned the next version while this wave is in
+      // flight, so the abort must repair rather than retract.
+      auto t = cluster_->vmanager().core().AssignVersion(*id, true, 0, 64);
+      if (t.ok()) successor = t->version;
+    }
+    return Status::Unavailable("dht node down");
+  });
+  std::string update = TestPayload(1, 64 * 4);
+  EXPECT_FALSE(blob.Write(Slice(update), 64 * 2).ok());
+  rec.set_fault(nullptr);
+  ASSERT_EQ(successor, 3u);
+
+  // The wave did land on the other nodes before the abort.
+  bool landed = false;
+  for (const auto& call : rec.calls()) {
+    if (call.method == rpc::Method::kVmAbortUpdate) break;
+    landed |= call.method == rpc::Method::kDhtMultiPut && call.status.ok();
+  }
+  EXPECT_TRUE(landed);
+
+  ASSERT_TRUE(writer.Sync(*id, 2, 5 * 1000 * 1000).ok());
+  EXPECT_EQ(writer.GetStats().repairs, 1u);
+  ReferenceBlob ref;
+  ref.ApplyAppend(base);
+  ref.ApplyZeroFill(64 * 2, 64 * 4);
+  std::string via_writer, via_fresh;
+  ASSERT_TRUE(blob.Read(2, 0, ref.Size(2), &via_writer).ok());
+  ASSERT_TRUE(client_->Read(*id, 2, 0, ref.Size(2), &via_fresh).ok());
+  EXPECT_EQ(via_writer, ref.Contents(2));
+  EXPECT_EQ(via_fresh, via_writer);
+  ASSERT_TRUE(writer.Abort(*id, successor).ok());
 }
 
 }  // namespace

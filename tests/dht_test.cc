@@ -11,6 +11,7 @@
 #include "dht/placement.h"
 #include "dht/service.h"
 #include "dht/store.h"
+#include "recording_transport.h"
 #include "rpc/inproc.h"
 
 namespace blobseer::dht {
@@ -141,9 +142,8 @@ TEST_F(DhtClientTest, PutGetAcrossNodes) {
   DhtClient client(&net_, addresses_);
   for (int i = 0; i < 200; i++) {
     std::string k = "key" + std::to_string(i);
-    ASSERT_TRUE(client.PutAsync(Slice(k), Slice("value" + std::to_string(i)))
-                    .Wait()
-                    .ok());
+    ASSERT_TRUE(
+        client.MultiPutAsync({{k, "value" + std::to_string(i)}}).Wait().ok());
   }
   for (int i = 0; i < 200; i++) {
     auto v = client.GetAsync(Slice("key" + std::to_string(i))).Wait();
@@ -170,7 +170,7 @@ TEST_F(DhtClientTest, ReplicationSurvivesPrimaryLoss) {
   std::vector<std::string> keys;
   for (int i = 0; i < 100; i++) {
     keys.push_back("rk" + std::to_string(i));
-    ASSERT_TRUE(client.PutAsync(Slice(keys.back()), Slice("v")).Wait().ok());
+    ASSERT_TRUE(client.MultiPutAsync({{keys.back(), "v"}}).Wait().ok());
   }
   // Kill one node: every key must remain readable via its replica (the
   // GetAsync fallback across replicas in placement order).
@@ -191,7 +191,7 @@ TEST_F(DhtClientTest, WithoutReplicationLossIsVisible) {
     if (placement.NodeFor(Slice(k)) == 2) victim_key = k;
   }
   ASSERT_FALSE(victim_key.empty());
-  ASSERT_TRUE(client.PutAsync(Slice(victim_key), Slice("v")).Wait().ok());
+  ASSERT_TRUE(client.MultiPutAsync({{victim_key, "v"}}).Wait().ok());
   ASSERT_TRUE(net_.StopServing(addresses_[2]).ok());
   EXPECT_FALSE(client.GetAsync(Slice(victim_key)).Wait().ok());
 }
@@ -199,10 +199,9 @@ TEST_F(DhtClientTest, WithoutReplicationLossIsVisible) {
 TEST_F(DhtClientTest, TotalStatsAggregates) {
   DhtClient client(&net_, addresses_);
   for (int i = 0; i < 50; i++) {
-    ASSERT_TRUE(
-        client.PutAsync(Slice("sk" + std::to_string(i)), Slice("0123456789"))
-            .Wait()
-            .ok());
+    ASSERT_TRUE(client.MultiPutAsync({{"sk" + std::to_string(i), "0123456789"}})
+                    .Wait()
+                    .ok());
   }
   for (int i = 0; i < 20; i++) {
     ASSERT_TRUE(
@@ -214,6 +213,81 @@ TEST_F(DhtClientTest, TotalStatsAggregates) {
   EXPECT_GT(st->bytes, 300u);
   EXPECT_EQ(st->puts, 50u);
   EXPECT_EQ(st->deletes, 20u);
+}
+
+std::vector<PutRequest> Entries(const std::string& prefix, int n) {
+  std::vector<PutRequest> out;
+  for (int i = 0; i < n; i++)
+    out.push_back(PutRequest{prefix + std::to_string(i), "v" + std::to_string(i)});
+  return out;
+}
+
+TEST_F(DhtClientTest, MultiPutOfNothingIsOkAndSendsNothing) {
+  testing::RecordingTransport rec(&net_);
+  DhtClient client(&rec, addresses_);
+  ASSERT_TRUE(client.MultiPutAsync({}).Wait().ok());
+  EXPECT_TRUE(rec.calls().empty());
+}
+
+TEST_F(DhtClientTest, MultiPutSendsOneBatchPerNode) {
+  testing::RecordingTransport rec(&net_);
+  DhtClient client(&rec, addresses_);
+  ASSERT_TRUE(client.MultiPutAsync(Entries("mk", 200)).Wait().ok());
+  EXPECT_EQ(rec.calls().size(), addresses_.size());
+  for (const auto& call : rec.calls())
+    EXPECT_EQ(call.method, rpc::Method::kDhtMultiPut);
+  for (int i = 0; i < 200; i++) {
+    auto v = client.GetAsync(Slice("mk" + std::to_string(i))).Wait();
+    ASSERT_TRUE(v.ok());
+    EXPECT_EQ(*v, "v" + std::to_string(i));
+  }
+}
+
+TEST_F(DhtClientTest, MultiPutSplitsOnlyOversizedBatches) {
+  testing::RecordingTransport rec(&net_);
+  DhtClientOptions opts;
+  opts.max_batch_bytes = 64;  // ~5 of these entries per batch
+  DhtClient client(&rec, addresses_, opts);
+  ASSERT_TRUE(client.MultiPutAsync(Entries("sk", 100)).Wait().ok());
+  EXPECT_GT(rec.calls().size(), addresses_.size());
+  for (const auto& call : rec.calls()) {
+    MultiPutRequest req;
+    ASSERT_TRUE(DecodePayload(Slice(call.request), &req).ok());
+    size_t bytes = 0;
+    for (const auto& e : req.entries) bytes += 8 + e.key.size() + e.value.size();
+    EXPECT_LE(bytes, opts.max_batch_bytes);
+  }
+  for (int i = 0; i < 100; i++)
+    EXPECT_TRUE(client.GetAsync(Slice("sk" + std::to_string(i))).Wait().ok());
+}
+
+TEST_F(DhtClientTest, ReplicatedMultiPutSurvivesOneNodeDown) {
+  DhtClientOptions opts;
+  opts.replication = 2;
+  DhtClient client(&net_, addresses_, opts);
+  ASSERT_TRUE(net_.StopServing(addresses_[1]).ok());
+  // Every key keeps one live replica, so the batch is accepted.
+  ASSERT_TRUE(client.MultiPutAsync(Entries("rk", 100)).Wait().ok());
+  for (int i = 0; i < 100; i++) {
+    auto v = client.GetAsync(Slice("rk" + std::to_string(i))).Wait();
+    ASSERT_TRUE(v.ok()) << "lost key rk" << i;
+    EXPECT_EQ(*v, "v" + std::to_string(i));
+  }
+}
+
+TEST_F(DhtClientTest, MultiPutFailsWhenAKeyHasNoLiveReplica) {
+  DhtClientOptions opts;
+  opts.replication = 2;
+  DhtClient client(&net_, addresses_, opts);
+  StaticPlacement placement(addresses_.size());
+  // Keys whose replicas are nodes 1 and 2 have no live replica below.
+  std::vector<PutRequest> entries = Entries("fk", 50);
+  bool doomed = false;
+  for (const auto& e : entries) doomed |= placement.NodeFor(Slice(e.key)) == 1;
+  ASSERT_TRUE(doomed);
+  ASSERT_TRUE(net_.StopServing(addresses_[1]).ok());
+  ASSERT_TRUE(net_.StopServing(addresses_[2]).ok());
+  EXPECT_FALSE(client.MultiPutAsync(std::move(entries)).Wait().ok());
 }
 
 }  // namespace

@@ -32,8 +32,13 @@ class MetaClientTest : public ::testing::Test {
     return MetaClient(dht_.get(), opts);
   }
 
-  static Status Put(MetaClient* mc, const NodeKey& key, const MetaNode& node) {
-    return mc->PutNodeAsync(key, node).Wait().status();
+  // Stores one node the way writers do (a multi-put wave), then seeds the
+  // writer's cache with it.
+  Status Put(MetaClient* mc, const NodeKey& key, const MetaNode& node) {
+    BS_RETURN_NOT_OK(
+        dht_->MultiPutAsync({MetaClient::NodePut(key, node)}).Wait().status());
+    mc->CacheNodes({{key, node}});
+    return Status::OK();
   }
 
   // Border descent without a memo; every tree here has psize 1.
@@ -84,7 +89,7 @@ TEST_F(MetaClientTest, CacheServesRepeatReadsAndInvalidates) {
   MetaClient mc = NewClient();
   NodeKey key{1, 1, Extent{0, 8}};
   ASSERT_TRUE(Put(&mc, key, MetaNode::Inner(1, 1)).ok());
-  // PutNode seeds the cache: this read must hit.
+  // A written node seeds the cache: this read must hit.
   ASSERT_TRUE(mc.GetNodeAsync(key).Wait().ok());
   MetaCacheStats st = mc.GetCacheStats();
   EXPECT_EQ(st.hits, 1u);
@@ -233,20 +238,39 @@ TEST_F(MetaClientTest, MemoAvoidsRepeatFetchesWithinOneOperation) {
   EXPECT_EQ(gets_after->gets - gets_before->gets, 3u);
 }
 
-TEST_F(MetaClientTest, WriteNodesBatchIsAtomicPerNode) {
-  MetaClient mc = NewClient();
-  std::vector<std::pair<NodeKey, MetaNode>> nodes;
+TEST_F(MetaClientTest, MultiPutWaveStoresEveryNode) {
+  MetaClient mc = NewClient(/*cache=*/false);
+  std::vector<dht::PutRequest> wave;
   for (uint64_t i = 0; i < 50; i++) {
-    nodes.emplace_back(NodeKey{9, 1, Extent{i, 1}},
-                       MetaNode::Leaf({PageFragment{PageId{9, i}, 0, 1, 0}},
-                                      kNoVersion, 1));
+    wave.push_back(MetaClient::NodePut(
+        NodeKey{9, 1, Extent{i, 1}},
+        MetaNode::Leaf({PageFragment{PageId{9, i}, 0, 1, 0}}, kNoVersion, 1)));
   }
-  ASSERT_TRUE(mc.WriteNodesAsync(nodes).Wait().ok());
+  ASSERT_TRUE(dht_->MultiPutAsync(std::move(wave)).Wait().ok());
   for (uint64_t i = 0; i < 50; i++) {
     auto got = mc.GetNodeAsync(NodeKey{9, 1, Extent{i, 1}}).Wait();
     ASSERT_TRUE(got.ok());
     EXPECT_EQ(got->fragments[0].pid, (PageId{9, i}));
   }
+}
+
+TEST_F(MetaClientTest, CacheReplacesRewrittenNode) {
+  // An abort repair rewrites the failed update's node keys with zero-fill
+  // leaves; a writer that cached the old node must read the new one.
+  MetaClient mc = NewClient();
+  NodeKey key{1, 2, Extent{0, 1}};
+  ASSERT_TRUE(Put(&mc, key,
+                  MetaNode::Leaf({PageFragment{PageId{1, 1}, 0, 1, 0}},
+                                 kNoVersion, 1))
+                  .ok());
+  ASSERT_TRUE(Put(&mc, key,
+                  MetaNode::Leaf({PageFragment{PageId{1, 2}, 0, 1, 0}},
+                                 kNoVersion, 1))
+                  .ok());
+  auto got = mc.GetNodeAsync(key).Wait();
+  ASSERT_TRUE(got.ok());
+  EXPECT_EQ(got->fragments[0].pid, (PageId{1, 2}));
+  EXPECT_EQ(mc.GetCacheStats().hits, 1u);
 }
 
 TEST_F(MetaClientTest, BranchAncestryRoutesVersionsToOrigins) {

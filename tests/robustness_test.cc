@@ -54,6 +54,8 @@ dht::MultiGetRequest Sample() { return {{"a", "bc"}}; }
 template <>
 dht::MultiGetResponse Sample() { return {{1, 0, 1}, {"x", "yz"}}; }
 template <>
+dht::MultiPutRequest Sample() { return {{{"k", "v"}, {"ab", ""}}}; }
+template <>
 dht::StoreStats Sample() { return {1, 2, 3, 4, 5, 6}; }
 
 template <>
@@ -233,6 +235,9 @@ TEST(WireGoldenTest, EveryRecordEncodesToPinnedBytes) {
             "020000000100000061020000006263");
   EXPECT_EQ(WireHex(Sample<dht::MultiGetResponse>()),
             "0300000001000102000000010000007802000000797a");
+  EXPECT_EQ(WireHex(Sample<dht::MultiPutRequest>()),
+            "02000000010000006b0100000076020000006162"
+            "00000000");
   EXPECT_EQ(WireHex(Sample<dht::StoreStats>()),
             "0100000000000000020000000000000003000000000000000400000000000000"
             "05000000000000000600000000000000");
@@ -399,6 +404,7 @@ using WireTypes = ::testing::Types<
     dht::CasResponse,
     dht::MultiGetRequest,
     dht::MultiGetResponse,
+    dht::MultiPutRequest,
     dht::StoreStats,
     provider::WriteRequest,
     provider::ReadRequest,
