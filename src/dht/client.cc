@@ -1,9 +1,16 @@
 #include "dht/client.h"
 
+#include <cstdint>
+
 #include "common/logging.h"
 #include "common/stats.h"
+#include "rpc/wire.h"
 
 namespace blobseer::dht {
+
+// A node's multi-put batch is split past this many encoded entry bytes, to
+// stay well inside the transport's frame limit.
+constexpr size_t kMaxBatchBytes = rpc::kMaxFrame / 2;
 
 DhtClient::DhtClient(rpc::Transport* transport, std::vector<std::string> nodes,
                      DhtClientOptions options)
@@ -46,32 +53,25 @@ Future<CasResponse> DhtClient::CasAsync(Slice key, Slice expected,
   });
 }
 
-Future<Unit> DhtClient::MultiPutAsync(std::vector<PutRequest> entries) {
-  if (entries.empty()) return MakeReadyFuture(Status::OK());
-  struct Batch {
-    size_t node = 0;
-    MultiPutRequest req;
-    size_t bytes = 0;
-  };
-  std::vector<Batch> batches;
-  // keys[b]: indices of the entries batch b carries.
-  std::vector<std::vector<size_t>> keys;
-  std::vector<size_t> open(nodes_.size(), SIZE_MAX);  // node -> its batch
-  const size_t n = entries.size();
-  for (size_t i = 0; i < n; i++) {
+std::vector<PutBatch> GroupByNode(std::vector<PutRequest> entries,
+                                  const Placement& placement,
+                                  size_t replication, size_t max_bytes) {
+  std::vector<PutBatch> batches;
+  std::vector<size_t> bytes;  // encoded entry bytes per batch
+  std::vector<size_t> open(placement.num_nodes(), SIZE_MAX);  // node -> batch
+  for (size_t i = 0; i < entries.size(); i++) {
     std::vector<size_t> replicas =
-        placement_->ReplicaNodes(Slice(entries[i].key), options_.replication);
-    const size_t bytes = 8 + entries[i].key.size() + entries[i].value.size();
+        placement.ReplicaNodes(Slice(entries[i].key), replication);
+    const size_t size = 8 + entries[i].key.size() + entries[i].value.size();
     for (size_t j = 0; j < replicas.size(); j++) {
       size_t& b = open[replicas[j]];
-      if (b == SIZE_MAX ||
-          batches[b].bytes + bytes > options_.max_batch_bytes) {
+      if (b == SIZE_MAX || bytes[b] + size > max_bytes) {
         b = batches.size();
-        batches.push_back(Batch{replicas[j], {}, 0});
-        keys.emplace_back();
+        batches.push_back(PutBatch{replicas[j], {}, {}});
+        bytes.push_back(0);
       }
-      batches[b].bytes += bytes;
-      keys[b].push_back(i);
+      bytes[b] += size;
+      batches[b].keys.push_back(i);
       // The last replica takes the entry itself; the others copy it.
       if (j + 1 == replicas.size()) {
         batches[b].req.entries.push_back(std::move(entries[i]));
@@ -80,11 +80,22 @@ Future<Unit> DhtClient::MultiPutAsync(std::vector<PutRequest> entries) {
       }
     }
   }
+  return batches;
+}
+
+Future<Unit> DhtClient::MultiPutAsync(std::vector<PutRequest> entries) {
+  if (entries.empty()) return MakeReadyFuture(Status::OK());
+  const size_t n = entries.size();
+  std::vector<PutBatch> batches = GroupByNode(
+      std::move(entries), *placement_, options_.replication, kMaxBatchBytes);
   std::vector<Future<rpc::Empty>> calls;
+  std::vector<std::vector<size_t>> keys;
   calls.reserve(batches.size());
-  for (Batch& b : batches) {
+  keys.reserve(batches.size());
+  for (PutBatch& b : batches) {
     calls.push_back(pool_.CallWithReconnect<MultiPutRequest, rpc::Empty>(
         nodes_[b.node], rpc::Method::kDhtMultiPut, std::move(b.req)));
+    keys.push_back(std::move(b.keys));
   }
   return WhenAll(std::move(calls))
       .Then([n, keys = std::move(keys)](

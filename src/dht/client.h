@@ -23,10 +23,22 @@ struct DhtClientOptions {
   size_t channels_per_endpoint = 4;
   /// Placement scheme: "static" (paper) or "ring".
   std::string placement = "static";
-  /// A multi-put batch to one node is split once its encoded entries pass
-  /// this many bytes, to stay well inside the transport's frame limit.
-  size_t max_batch_bytes = rpc::kMaxFrame / 2;
 };
+
+/// One kDhtMultiPut: the node it goes to, its entries, and the positions
+/// (in the grouped list) of the keys it carries.
+struct PutBatch {
+  size_t node = 0;
+  MultiPutRequest req;
+  std::vector<size_t> keys;
+};
+
+/// Groups `entries` by the `replication` placement replicas of each key:
+/// one batch per node, plus a further one each time a node's encoded
+/// entries would pass `max_bytes`.
+std::vector<PutBatch> GroupByNode(std::vector<PutRequest> entries,
+                                  const Placement& placement,
+                                  size_t replication, size_t max_bytes);
 
 class DhtClient {
  public:
@@ -36,7 +48,7 @@ class DhtClient {
             DhtClientOptions options = {});
 
   /// Puts every entry with one kDhtMultiPut per replica node (more only
-  /// when a batch passes `max_batch_bytes`); replicas are written in
+  /// when a batch nears the transport's frame limit); replicas are written in
   /// parallel. Resolves OK once every key was accepted by at least one of
   /// its replicas; otherwise fails with the first batch error. An empty
   /// batch resolves OK at once.

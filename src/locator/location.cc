@@ -98,16 +98,6 @@ void LocationIndex::NotePublished(const PageId& pid,
   CacheInsert(pid, entry);
 }
 
-Future<Unit> LocationIndex::PublishAsync(const PageId& pid,
-                                         std::vector<ProviderId> providers) {
-  LocationEntry entry = FreshEntry(std::move(providers));
-  return dht_->MultiPutAsync({PublishPut(pid, entry)})
-      .Then([this, pid, entry](Result<Unit> r) -> Result<Unit> {
-        if (r.ok()) NotePublished(pid, entry);
-        return r;
-      });
-}
-
 Future<LocationEntry> LocationIndex::CompareAndSwapEntryAsync(
     const PageId& pid, const LocationEntry& expected, LocationEntry next) {
   next.epoch = expected.epoch + 1;

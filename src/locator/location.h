@@ -82,11 +82,6 @@ class LocationIndex {
                                     const LocationEntry& entry);
   void NotePublished(const PageId& pid, const LocationEntry& entry);
 
-  /// Publishes one fresh page's entry on its own (PublishPut, then
-  /// NotePublished).
-  Future<Unit> PublishAsync(const PageId& pid,
-                            std::vector<ProviderId> providers);
-
   /// Full-entry CAS: installs `next` (with epoch forced to
   /// `expected.epoch + 1`) iff the stored bytes still equal `expected`.
   /// Resolves to the installed entry; Aborted when the stored entry no

@@ -2,6 +2,7 @@
 // replica failover.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
 #include <thread>
 
@@ -243,22 +244,40 @@ TEST_F(DhtClientTest, MultiPutSendsOneBatchPerNode) {
   }
 }
 
-TEST_F(DhtClientTest, MultiPutSplitsOnlyOversizedBatches) {
-  testing::RecordingTransport rec(&net_);
-  DhtClientOptions opts;
-  opts.max_batch_bytes = 64;  // ~5 of these entries per batch
-  DhtClient client(&rec, addresses_, opts);
-  ASSERT_TRUE(client.MultiPutAsync(Entries("sk", 100)).Wait().ok());
-  EXPECT_GT(rec.calls().size(), addresses_.size());
-  for (const auto& call : rec.calls()) {
-    MultiPutRequest req;
-    ASSERT_TRUE(DecodePayload(Slice(call.request), &req).ok());
+TEST(GroupByNodeTest, SplitsOnlyOversizedBatches) {
+  StaticPlacement placement(4);
+  auto keys_of = [](const std::vector<PutBatch>& batches) {
+    std::vector<size_t> keys;
+    for (const PutBatch& b : batches) {
+      EXPECT_EQ(b.keys.size(), b.req.entries.size());
+      keys.insert(keys.end(), b.keys.begin(), b.keys.end());
+    }
+    std::sort(keys.begin(), keys.end());
+    return keys;
+  };
+  std::vector<size_t> all(100);
+  for (size_t i = 0; i < all.size(); i++) all[i] = i;
+
+  std::vector<PutBatch> whole =
+      GroupByNode(Entries("sk", 100), placement, 1, SIZE_MAX);
+  EXPECT_EQ(whole.size(), 4u);
+  EXPECT_EQ(keys_of(whole), all);
+
+  const size_t limit = 64;  // ~5 of these entries per batch
+  std::vector<PutBatch> split =
+      GroupByNode(Entries("sk", 100), placement, 1, limit);
+  EXPECT_GT(split.size(), 4u);
+  EXPECT_EQ(keys_of(split), all);
+  for (const PutBatch& b : split) {
     size_t bytes = 0;
-    for (const auto& e : req.entries) bytes += 8 + e.key.size() + e.value.size();
-    EXPECT_LE(bytes, opts.max_batch_bytes);
+    for (size_t k = 0; k < b.keys.size(); k++) {
+      const PutRequest& e = b.req.entries[k];
+      EXPECT_EQ(e.key, "sk" + std::to_string(b.keys[k]));
+      EXPECT_EQ(placement.NodeFor(Slice(e.key)), b.node);
+      bytes += 8 + e.key.size() + e.value.size();
+    }
+    EXPECT_LE(bytes, limit);
   }
-  for (int i = 0; i < 100; i++)
-    EXPECT_TRUE(client.GetAsync(Slice("sk" + std::to_string(i))).Wait().ok());
 }
 
 TEST_F(DhtClientTest, ReplicatedMultiPutSurvivesOneNodeDown) {

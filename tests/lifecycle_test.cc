@@ -6,7 +6,9 @@
 // last version referencing it is discarded and swept.
 #include <gtest/gtest.h>
 
+#include <iostream>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -431,6 +433,63 @@ TEST_F(LifecycleGcTest, DedupOffStoresEveryCopy) {
   ASSERT_TRUE(Blob(client_.get(), *b).WriteSync(payload, 0).ok());
   EXPECT_EQ(ProviderPages(), 8u);
   EXPECT_EQ(client_->GetStats().dedup_hits, 0u);
+}
+
+TEST_F(LifecycleGcTest, OverlappingIdenticalAppendsStoreOrAdoptEachPage) {
+  // Two writers append the same bytes at once. A claimed page becomes
+  // adoptable only when its writer's DHT wave lands, so the later writer
+  // may find the claim without an entry and store its own copy: how many
+  // pages it adopts depends on timing. Every page is stored or adopted,
+  // never both, and both blobs read back their bytes.
+  client::ClientOptions copts;
+  copts.dedup = true;
+  StartCluster(copts);
+  auto other = cluster_->NewClient(copts);
+  ASSERT_TRUE(other.ok());
+  constexpr uint64_t kPage = 4096;
+  constexpr int kRounds = 16;
+  constexpr uint64_t kPagesPerAppend = 4;
+
+  auto a = client_->Create(kPage);
+  auto b = (*other)->Create(kPage);
+  ASSERT_TRUE(a.ok() && b.ok());
+  std::vector<std::string> payloads;
+  for (int r = 0; r < kRounds; r++) {
+    payloads.push_back(TestPayload(100 + r, kPagesPerAppend * kPage));
+    Status sa, sb;
+    std::thread ta([&] {
+      sa = client_->AppendAsync(*a, payloads.back()).Wait().status();
+    });
+    std::thread tb([&] {
+      sb = (*other)->AppendAsync(*b, payloads.back()).Wait().status();
+    });
+    ta.join();
+    tb.join();
+    ASSERT_TRUE(sa.ok()) << sa.ToString();
+    ASSERT_TRUE(sb.ok()) << sb.ToString();
+  }
+  const uint64_t hits =
+      client_->GetStats().dedup_hits + (*other)->GetStats().dedup_hits;
+  RecordProperty("overlap_dedup_hits", static_cast<int>(hits));
+  std::cout << "overlapping identical appends adopted " << hits << " of "
+            << kRounds * kPagesPerAppend << " later-writer pages\n";
+  EXPECT_EQ(ProviderPages() + hits, 2 * kRounds * kPagesPerAppend);
+
+  std::string all;
+  for (const std::string& p : payloads) all += p;
+  for (BlobId id : {*a, *b}) {
+    std::string out;
+    ASSERT_TRUE(
+        Blob(client_.get(), id).Read(kRounds, 0, all.size(), &out).ok());
+    EXPECT_EQ(out, all);
+  }
+
+  // Once both waves landed, a later writer of the same bytes adopts them.
+  const uint64_t before = client_->GetStats().dedup_hits;
+  auto c = client_->Create(kPage);
+  ASSERT_TRUE(c.ok());
+  ASSERT_TRUE(Blob(client_.get(), *c).WriteSync(payloads[0], 0).ok());
+  EXPECT_EQ(client_->GetStats().dedup_hits, before + kPagesPerAppend);
 }
 
 TEST_F(LifecycleGcTest, SharedPageSurvivesUntilLastReferenceDiscarded) {

@@ -188,6 +188,18 @@ class LocationIndexTest : public DhtCasTest {
   std::unique_ptr<dht::DhtClient> dht_;
 };
 
+/// Publishes a fresh page's entry as a writer's DHT wave does: the put,
+/// then the note that seeds `index`'s cache.
+Status Publish(dht::DhtClient* dht, LocationIndex* index, const PageId& pid,
+               std::vector<ProviderId> providers) {
+  LocationEntry entry = LocationIndex::FreshEntry(std::move(providers));
+  Status s = dht->MultiPutAsync({LocationIndex::PublishPut(pid, entry)})
+                 .Wait()
+                 .status();
+  if (s.ok()) index->NotePublished(pid, entry);
+  return s;
+}
+
 /// `e` with its replica set replaced, as the rebuilder moves a page.
 LocationEntry Moved(LocationEntry e, std::vector<ProviderId> providers) {
   e.providers = std::move(providers);
@@ -197,7 +209,7 @@ LocationEntry Moved(LocationEntry e, std::vector<ProviderId> providers) {
 TEST_F(LocationIndexTest, PublishResolvesFromCacheThenFromDht) {
   LocationIndex index(dht_.get(), 8);
   PageId pid{1, 1};
-  ASSERT_TRUE(index.PublishAsync(pid, {2, 4}).Wait().ok());
+  ASSERT_TRUE(Publish(dht_.get(), &index, pid, {2, 4}).ok());
   auto e = index.ResolveAsync(pid).Wait();
   ASSERT_TRUE(e.ok());
   EXPECT_EQ(e->epoch, 1u);
@@ -223,7 +235,7 @@ TEST_F(LocationIndexTest, UnknownPageIsNotFound) {
 TEST_F(LocationIndexTest, CompareAndSwapBumpsEpochAndDetectsConflict) {
   LocationIndex index(dht_.get(), 8);
   PageId pid{3, 1};
-  ASSERT_TRUE(index.PublishAsync(pid, {0, 1}).Wait().ok());
+  ASSERT_TRUE(Publish(dht_.get(), &index, pid, {0, 1}).ok());
   LocationEntry e1{1, {0, 1}};
   auto e2 = index.CompareAndSwapEntryAsync(pid, e1, Moved(e1, {0, 2})).Wait();
   ASSERT_TRUE(e2.ok());
@@ -250,7 +262,7 @@ TEST_F(LocationIndexTest, ConcurrentAdjustRefsAllLand) {
   constexpr int kAdopters = 8;
   PageId pid{5, 1};
   LocationIndex publisher(dht_.get(), 0);
-  ASSERT_TRUE(publisher.PublishAsync(pid, {0, 1}).Wait().ok());
+  ASSERT_TRUE(Publish(dht_.get(), &publisher, pid, {0, 1}).ok());
   std::vector<Status> results(kAdopters);
   std::vector<std::thread> threads;
   for (int i = 0; i < kAdopters; i++) {
@@ -271,7 +283,7 @@ TEST_F(LocationIndexTest, ConcurrentAdjustRefsAllLand) {
 TEST_F(LocationIndexTest, CacheEvictsAtCapacityButDhtStillServes) {
   LocationIndex index(dht_.get(), 2);
   for (uint64_t i = 1; i <= 3; i++) {
-    ASSERT_TRUE(index.PublishAsync(PageId{4, i}, {0}).Wait().ok());
+    ASSERT_TRUE(Publish(dht_.get(), &index, PageId{4, i}, {0}).ok());
   }
   // The oldest entry was evicted: resolving it misses but refetches.
   auto e = index.ResolveAsync(PageId{4, 1}).Wait();
@@ -362,7 +374,7 @@ class RebuilderTest : public ::testing::Test {
               .Wait()
               .ok());
     }
-    ASSERT_TRUE(index_->PublishAsync(pid, members).Wait().ok());
+    ASSERT_TRUE(Publish(dht_.get(), index_.get(), pid, members).ok());
     table_.Record(pid, LocationEntry{1, members});
   }
 
