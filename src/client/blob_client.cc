@@ -19,6 +19,9 @@ using vmanager::AssignTicket;
 
 namespace {
 
+/// Worker threads of the executor a client owns when none is injected.
+constexpr size_t kOwnedExecutorThreads = 16;
+
 // Resolves once every future has, with the first error (OK when none).
 Future<Unit> AllOf(std::vector<Future<Unit>> futures) {
   return WhenAll(std::move(futures))
@@ -93,7 +96,7 @@ BlobClient::BlobClient(rpc::Transport* transport, std::string vmanager_address,
       owned_executor_(executor
                           ? nullptr
                           : std::make_unique<ThreadPoolExecutor>(
-                                options.io_threads)),
+                                kOwnedExecutorThreads)),
       executor_(executor ? executor : owned_executor_.get()),
       vm_(transport, std::move(vmanager_address),
           options.channels_per_endpoint),

@@ -36,9 +36,6 @@
 namespace blobseer::client {
 
 struct ClientOptions {
-  /// Worker threads for the client's internally-owned executor (ignored
-  /// when an external executor is supplied).
-  size_t io_threads = 16;
   /// Distinct providers storing each page (1 = no replication). WRITE fans
   /// every page out to all replicas; READ tries replicas in order with
   /// failover and best-effort read repair.

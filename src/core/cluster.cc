@@ -26,7 +26,6 @@ std::unique_ptr<provider::PageStore> MakeStore(const ClusterOptions& options,
                                                size_t index) {
   pagelog::LogPageStoreOptions lo;
   lo.compact_dead_ratio = options.log_compact_dead_ratio;
-  lo.io_backend = options.io_backend;
   if (options.log_segment_target_bytes > 0)
     lo.segment_target_bytes = options.log_segment_target_bytes;
   std::string spec = options.page_store;
@@ -78,7 +77,7 @@ Result<std::unique_ptr<EmbeddedCluster>> EmbeddedCluster::Start(
   }
 
   for (size_t i = 0; i < options.num_meta; i++) {
-    auto svc = std::make_shared<dht::DhtService>(options.dht_shards);
+    auto svc = std::make_shared<dht::DhtService>();
     auto addr =
         c->transport_->Serve(bind_addr(StrFormat("meta-%zu", i)), svc);
     if (!addr.ok()) return addr.status();
@@ -108,10 +107,7 @@ Result<std::unique_ptr<EmbeddedCluster>> EmbeddedCluster::Start(
     if (!addr.ok()) return addr.status();
     c->provider_services_.push_back(std::move(svc));
     c->provider_addresses_.push_back(std::move(addr).ValueUnsafe());
-    auto id = c->pm_client_
-                  ->RegisterAsync(c->provider_addresses_.back(),
-                                  options.provider_capacity_pages)
-                  .Wait();
+    auto id = c->RegisterProvider(i);
     if (!id.ok()) return id.status();
     c->provider_ids_.push_back(*id);
     BS_RETURN_NOT_OK(c->StartProviderHeartbeat(i));
@@ -120,7 +116,6 @@ Result<std::unique_ptr<EmbeddedCluster>> EmbeddedCluster::Start(
     locator::RebuildOptions ro;
     ro.interval_us = options.rebuild_interval_us;
     ro.max_moves_per_pass = options.rebuild_max_moves;
-    ro.rebalance = options.rebuild_rebalance;
     // Default DhtClientOptions: the rebuilder's CAS placement must match
     // the clients', which also run defaults (placement is positional over
     // the same node list).
@@ -141,13 +136,17 @@ Result<std::unique_ptr<EmbeddedCluster>> EmbeddedCluster::Start(
   return c;
 }
 
+Result<ProviderId> EmbeddedCluster::RegisterProvider(size_t index) {
+  // Embedded providers take pages without a capacity bound (0).
+  return pm_client_->RegisterAsync(provider_addresses_[index], 0).Wait();
+}
+
 Status EmbeddedCluster::StartProviderHeartbeat(size_t index) {
   if (options_.heartbeat_interval_us == 0) return Status::OK();
   provider::HeartbeatConfig config;
   config.transport = transport_;
   config.pmanager_address = pm_address_;
   config.self_address = provider_addresses_[index];
-  config.capacity_pages = options_.provider_capacity_pages;
   config.id = provider_ids_[index];
   config.interval_us = options_.heartbeat_interval_us;
   provider_services_[index]->StartHeartbeat(
@@ -210,10 +209,7 @@ Status EmbeddedCluster::RestartProvider(size_t index) {
   if (!addr.ok()) return addr.status();
   // Same address -> the provider manager hands back the same id and marks
   // the record alive again.
-  auto id = pm_client_
-                ->RegisterAsync(provider_addresses_[index],
-                                options_.provider_capacity_pages)
-                .Wait();
+  auto id = RegisterProvider(index);
   if (!id.ok()) return id.status();
   provider_ids_[index] = *id;
   return StartProviderHeartbeat(index);
@@ -231,10 +227,7 @@ Result<size_t> EmbeddedCluster::AddProvider() {
   if (!addr.ok()) return addr.status();
   provider_services_.push_back(std::move(svc));
   provider_addresses_.push_back(std::move(addr).ValueUnsafe());
-  auto id = pm_client_
-                ->RegisterAsync(provider_addresses_.back(),
-                                options_.provider_capacity_pages)
-                .Wait();
+  auto id = RegisterProvider(index);
   if (!id.ok()) return id.status();
   provider_ids_.push_back(*id);
   // The heartbeat executor was sized with spare workers for a few joins.

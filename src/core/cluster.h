@@ -57,12 +57,11 @@ struct ClusterOptions {
   uint64_t dead_after_us = 0;
   /// Background re-replication: when `rebuild_interval_us` > 0 the provider
   /// manager runs a rebuilder pass every interval that copies pages off
-  /// dead/draining providers onto live ones (and, with `rebuild_rebalance`,
-  /// evens page counts after a join). Requires heartbeats for dead
-  /// detection. See docs/page_locations.md.
+  /// dead/draining providers onto live ones and evens page counts after a
+  /// join. Requires heartbeats for dead detection. See
+  /// docs/page_locations.md.
   uint64_t rebuild_interval_us = 0;
   size_t rebuild_max_moves = 64;
-  bool rebuild_rebalance = true;
   /// Version-lifecycle GC (docs/lifecycle.md): when `gc_interval_us` > 0
   /// the provider manager hosts a GcSweeper that evaluates retention
   /// policies and mark-and-sweeps discarded versions every interval. With
@@ -77,13 +76,6 @@ struct ClusterOptions {
   /// Benches shrink it so GC deletes land in sealed segments and the
   /// auto-compaction path above actually runs at test scale.
   uint64_t log_segment_target_bytes = 0;
-  /// Raw-I/O backend for "log:" page stores: "psync", "uring",
-  /// "uring-direct", or "" to consult BLOBSEER_IO_BACKEND / default to
-  /// psync (LogPageStoreOptions::io_backend; unsupported values fall back
-  /// to psync with a logged note).
-  std::string io_backend;
-  uint64_t provider_capacity_pages = 0;  // 0 = unbounded
-  size_t dht_shards = 16;
 };
 
 class EmbeddedCluster {
@@ -144,6 +136,8 @@ class EmbeddedCluster {
  private:
   EmbeddedCluster() = default;
 
+  /// Registers provider `index`'s address with the provider manager.
+  Result<ProviderId> RegisterProvider(size_t index);
   Status StartProviderHeartbeat(size_t index);
 
   ClusterOptions options_;

@@ -81,7 +81,6 @@ SimCluster::SimCluster(simnet::SimScheduler* sched,
     locator::RebuildOptions ro;
     ro.interval_us = options.rebuild_interval_us;
     ro.max_moves_per_pass = options.rebuild_max_moves;
-    ro.rebalance = options.rebuild_rebalance;
     // The rebuilder loop is a sim task; spawn it from the provider
     // manager's node so its copy/CAS RPCs originate there in the network
     // model. Default DhtClientOptions so CAS placement matches clients'.

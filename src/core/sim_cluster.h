@@ -59,10 +59,10 @@ struct SimClusterOptions {
   uint64_t dead_after_us = 0;
   /// Background re-replication in virtual time (0 = disabled): the provider
   /// manager runs a rebuilder pass every `rebuild_interval_us`, copying
-  /// pages off dead/draining providers (docs/page_locations.md).
+  /// pages off dead/draining providers and evening page counts after a
+  /// join (docs/page_locations.md).
   uint64_t rebuild_interval_us = 0;
   size_t rebuild_max_moves = 64;
-  bool rebuild_rebalance = true;
   /// Version-lifecycle GC in virtual time (0 = disabled): the provider
   /// manager hosts a GcSweeper pass every `gc_interval_us`, evaluating
   /// retention policies and sweeping discarded versions

@@ -16,9 +16,7 @@ DhtClient::DhtClient(rpc::Transport* transport, std::vector<std::string> nodes,
                      DhtClientOptions options)
     : nodes_(std::move(nodes)),
       options_(options),
-      placement_(options.placement == "ring"
-                     ? MakeRingPlacement(nodes_.size())
-                     : MakeStaticPlacement(nodes_.size())),
+      placement_(nodes_.size()),
       pool_(transport, options.channels_per_endpoint) {
   BS_CHECK(!nodes_.empty()) << "DhtClient requires at least one node";
 }
@@ -26,7 +24,7 @@ DhtClient::DhtClient(rpc::Transport* transport, std::vector<std::string> nodes,
 Future<CasResponse> DhtClient::CasAsync(Slice key, Slice expected,
                                         Slice value, bool expect_absent) {
   std::vector<size_t> replicas =
-      placement_->ReplicaNodes(key, options_.replication);
+      placement_.ReplicaNodes(key, options_.replication);
   if (replicas.empty())
     return MakeReadyFuture<CasResponse>(Status::Unavailable("dht cas"));
   CasRequest req{key.ToString(), expected.ToString(), value.ToString(),
@@ -54,7 +52,7 @@ Future<CasResponse> DhtClient::CasAsync(Slice key, Slice expected,
 }
 
 std::vector<PutBatch> GroupByNode(std::vector<PutRequest> entries,
-                                  const Placement& placement,
+                                  const StaticPlacement& placement,
                                   size_t replication, size_t max_bytes) {
   std::vector<PutBatch> batches;
   std::vector<size_t> bytes;  // encoded entry bytes per batch
@@ -87,7 +85,7 @@ Future<Unit> DhtClient::MultiPutAsync(std::vector<PutRequest> entries) {
   if (entries.empty()) return MakeReadyFuture(Status::OK());
   const size_t n = entries.size();
   std::vector<PutBatch> batches = GroupByNode(
-      std::move(entries), *placement_, options_.replication, kMaxBatchBytes);
+      std::move(entries), placement_, options_.replication, kMaxBatchBytes);
   std::vector<Future<rpc::Empty>> calls;
   std::vector<std::vector<size_t>> keys;
   calls.reserve(batches.size());
@@ -132,7 +130,7 @@ Future<std::string> DhtClient::GetAsync(Slice key) {
   // Fallback chain in placement order: each later replica is consulted only
   // after the previous attempt resolved with an error.
   std::vector<size_t> replicas =
-      placement_->ReplicaNodes(key, options_.replication);
+      placement_.ReplicaNodes(key, options_.replication);
   if (replicas.empty())
     return MakeReadyFuture<std::string>(Status::NotFound("dht key"));
   Future<std::string> f = try_replica(req, replicas[0]);
@@ -149,7 +147,7 @@ Future<std::string> DhtClient::GetAsync(Slice key) {
 Future<Unit> DhtClient::DeleteAsync(Slice key) {
   DeleteRequest req{key.ToString()};
   std::vector<Future<rpc::Empty>> calls;
-  for (size_t node : placement_->ReplicaNodes(key, options_.replication)) {
+  for (size_t node : placement_.ReplicaNodes(key, options_.replication)) {
     calls.push_back(pool_.CallWithReconnect<DeleteRequest, rpc::Empty>(
         nodes_[node], rpc::Method::kDhtDelete, req));
   }

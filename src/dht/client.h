@@ -3,7 +3,6 @@
 #ifndef BLOBSEER_DHT_CLIENT_H_
 #define BLOBSEER_DHT_CLIENT_H_
 
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -21,8 +20,6 @@ struct DhtClientOptions {
   size_t replication = 1;
   /// Channels opened per endpoint for parallel requests.
   size_t channels_per_endpoint = 4;
-  /// Placement scheme: "static" (paper) or "ring".
-  std::string placement = "static";
 };
 
 /// One kDhtMultiPut: the node it goes to, its entries, and the positions
@@ -37,7 +34,7 @@ struct PutBatch {
 /// one batch per node, plus a further one each time a node's encoded
 /// entries would pass `max_bytes`.
 std::vector<PutBatch> GroupByNode(std::vector<PutRequest> entries,
-                                  const Placement& placement,
+                                  const StaticPlacement& placement,
                                   size_t replication, size_t max_bytes);
 
 class DhtClient {
@@ -77,7 +74,7 @@ class DhtClient {
  private:
   std::vector<std::string> nodes_;
   DhtClientOptions options_;
-  std::unique_ptr<Placement> placement_;
+  StaticPlacement placement_;
   rpc::ChannelPool pool_;
 };
 

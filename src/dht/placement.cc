@@ -1,21 +1,9 @@
 #include "dht/placement.h"
 
-#include <algorithm>
-
 #include "common/hash.h"
 #include "common/logging.h"
 
 namespace blobseer::dht {
-
-std::vector<size_t> Placement::ReplicaNodes(Slice key, size_t replicas) const {
-  size_t n = num_nodes();
-  if (replicas > n) replicas = n;
-  std::vector<size_t> out;
-  out.reserve(replicas);
-  size_t primary = NodeFor(key);
-  for (size_t i = 0; i < replicas; i++) out.push_back((primary + i) % n);
-  return out;
-}
 
 StaticPlacement::StaticPlacement(size_t num_nodes) : num_nodes_(num_nodes) {
   BS_CHECK(num_nodes > 0) << "placement over zero nodes";
@@ -25,53 +13,15 @@ size_t StaticPlacement::NodeFor(Slice key) const {
   return static_cast<size_t>(Fnv1a64(key) % num_nodes_);
 }
 
-RingPlacement::RingPlacement(size_t num_nodes, size_t vnodes_per_node)
-    : num_nodes_(num_nodes) {
-  BS_CHECK(num_nodes > 0) << "placement over zero nodes";
-  ring_.reserve(num_nodes * vnodes_per_node);
-  for (uint32_t node = 0; node < num_nodes; node++) {
-    for (size_t v = 0; v < vnodes_per_node; v++) {
-      uint64_t h = Mix64(HashCombine(node + 1, v + 1));
-      ring_.emplace_back(h, node);
-    }
-  }
-  std::sort(ring_.begin(), ring_.end());
-}
-
-size_t RingPlacement::NodeFor(Slice key) const {
-  uint64_t h = Fnv1a64(key);
-  auto it = std::lower_bound(ring_.begin(), ring_.end(),
-                             std::make_pair(h, uint32_t{0}));
-  if (it == ring_.end()) it = ring_.begin();
-  return it->second;
-}
-
-std::vector<size_t> RingPlacement::ReplicaNodes(Slice key,
-                                                size_t replicas) const {
-  size_t n = num_nodes();
-  if (replicas > n) replicas = n;
+std::vector<size_t> StaticPlacement::ReplicaNodes(Slice key,
+                                                  size_t replicas) const {
+  if (replicas > num_nodes_) replicas = num_nodes_;
   std::vector<size_t> out;
-  uint64_t h = Fnv1a64(key);
-  auto it = std::lower_bound(ring_.begin(), ring_.end(),
-                             std::make_pair(h, uint32_t{0}));
-  // Walk the ring collecting distinct owners, wrapping at the end.
-  for (size_t steps = 0; steps < ring_.size() && out.size() < replicas;
-       steps++) {
-    if (it == ring_.end()) it = ring_.begin();
-    if (std::find(out.begin(), out.end(), it->second) == out.end()) {
-      out.push_back(it->second);
-    }
-    ++it;
-  }
+  out.reserve(replicas);
+  size_t primary = NodeFor(key);
+  for (size_t i = 0; i < replicas; i++)
+    out.push_back((primary + i) % num_nodes_);
   return out;
-}
-
-std::unique_ptr<Placement> MakeStaticPlacement(size_t num_nodes) {
-  return std::make_unique<StaticPlacement>(num_nodes);
-}
-std::unique_ptr<Placement> MakeRingPlacement(size_t num_nodes,
-                                             size_t vnodes_per_node) {
-  return std::make_unique<RingPlacement>(num_nodes, vnodes_per_node);
 }
 
 }  // namespace blobseer::dht

@@ -1,60 +1,33 @@
-// Key-to-node placement strategies. The paper's prototype used a "simple
-// static distribution scheme"; we provide that plus a consistent-hash ring
-// as an extension.
+// Key-to-node placement: the paper prototype's "simple static distribution
+// scheme".
 #ifndef BLOBSEER_DHT_PLACEMENT_H_
 #define BLOBSEER_DHT_PLACEMENT_H_
 
-#include <cstdint>
-#include <memory>
+#include <cstddef>
 #include <vector>
 
 #include "common/slice.h"
 
 namespace blobseer::dht {
 
-/// Maps keys to node indices in [0, num_nodes).
-class Placement {
- public:
-  virtual ~Placement() = default;
-
-  /// Primary node for a key.
-  virtual size_t NodeFor(Slice key) const = 0;
-
-  /// `replicas` distinct nodes for a key, primary first. If fewer nodes than
-  /// replicas exist, returns all nodes.
-  virtual std::vector<size_t> ReplicaNodes(Slice key, size_t replicas) const;
-
-  virtual size_t num_nodes() const = 0;
-};
-
-/// Paper-faithful static distribution: hash(key) mod n.
-class StaticPlacement : public Placement {
+/// Maps keys to node indices in [0, num_nodes) by hash(key) mod n.
+class StaticPlacement {
  public:
   explicit StaticPlacement(size_t num_nodes);
-  size_t NodeFor(Slice key) const override;
-  size_t num_nodes() const override { return num_nodes_; }
+
+  /// Primary node for a key.
+  size_t NodeFor(Slice key) const;
+
+  /// `replicas` distinct nodes for a key, primary first: the primary and
+  /// its successors mod n. If fewer nodes than replicas exist, returns all
+  /// nodes.
+  std::vector<size_t> ReplicaNodes(Slice key, size_t replicas) const;
+
+  size_t num_nodes() const { return num_nodes_; }
 
  private:
   size_t num_nodes_;
 };
-
-/// Consistent-hash ring with virtual nodes: stable placement when nodes join
-/// or leave (extension; exercised in tests, not required by the paper).
-class RingPlacement : public Placement {
- public:
-  RingPlacement(size_t num_nodes, size_t vnodes_per_node = 64);
-  size_t NodeFor(Slice key) const override;
-  std::vector<size_t> ReplicaNodes(Slice key, size_t replicas) const override;
-  size_t num_nodes() const override { return num_nodes_; }
-
- private:
-  size_t num_nodes_;
-  std::vector<std::pair<uint64_t, uint32_t>> ring_;  // (hash, node) sorted
-};
-
-std::unique_ptr<Placement> MakeStaticPlacement(size_t num_nodes);
-std::unique_ptr<Placement> MakeRingPlacement(size_t num_nodes,
-                                             size_t vnodes_per_node = 64);
 
 }  // namespace blobseer::dht
 

@@ -270,12 +270,4 @@ MetaCacheStats MetaClient::GetCacheStats() const {
   return cache_stats_;
 }
 
-void MetaClient::set_cache_enabled(bool enabled) {
-  {
-    std::lock_guard<std::mutex> lock(cache_mu_);
-    options_.cache_enabled = enabled;
-  }
-  if (!enabled) InvalidateCache();
-}
-
 }  // namespace blobseer::meta

@@ -96,14 +96,13 @@ class MetaClient {
 
   void InvalidateCache();
   MetaCacheStats GetCacheStats() const;
-  void set_cache_enabled(bool enabled);
 
  private:
   void CacheInsertLocked(const NodeKey& key, MetaNode node);
   bool CacheLookup(const NodeKey& key, MetaNode* node);
 
   dht::DhtClient* dht_;
-  MetaClientOptions options_;
+  const MetaClientOptions options_;
 
   mutable std::mutex cache_mu_;
   struct CacheEntry {

@@ -6,6 +6,7 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <atomic>
 #include <cerrno>
 #include <condition_variable>
 #include <cstring>
@@ -20,7 +21,6 @@
 #include "common/logging.h"
 #include "common/string_util.h"
 #include "pagelog/format.h"
-#include "pagelog/io_backend.h"
 
 namespace blobseer::pagelog {
 
@@ -38,6 +38,58 @@ constexpr size_t kScanChunk = 256u << 10;
 
 Status ErrnoError(const std::string& what) {
   return Status::IOError(what + ": " + strerror(errno));
+}
+
+Status ErrnoStatus(const char* op, const std::string& path, uint64_t off) {
+  int e = errno;
+  return Status::IOError(StrFormat("%s %s @%llu: %s", op, path.c_str(),
+                                   static_cast<unsigned long long>(off),
+                                   std::strerror(e)));
+}
+
+/// Loop until the full range is transferred; errors name the path and
+/// offset, and a short read reports the missing byte count so torn-tail
+/// truncation reports are actionable.
+Status PwriteFull(int fd, const char* p, size_t n, uint64_t off,
+                  const std::string& path) {
+  while (n > 0) {
+    ssize_t w = ::pwrite(fd, p, n, static_cast<off_t>(off));
+    if (w < 0) {
+      if (errno == EINTR) continue;
+      return ErrnoStatus("pwrite", path, off);
+    }
+    p += w;
+    n -= static_cast<size_t>(w);
+    off += static_cast<uint64_t>(w);
+  }
+  return Status::OK();
+}
+
+Status PreadFull(int fd, char* p, size_t n, uint64_t off,
+                 const std::string& path) {
+  while (n > 0) {
+    ssize_t r = ::pread(fd, p, n, static_cast<off_t>(off));
+    if (r < 0) {
+      if (errno == EINTR) continue;
+      return ErrnoStatus("pread", path, off);
+    }
+    if (r == 0) {
+      return Status::Corruption(
+          StrFormat("short read: %s @%llu: %zu bytes past EOF", path.c_str(),
+                    static_cast<unsigned long long>(off), n));
+    }
+    p += r;
+    n -= static_cast<size_t>(r);
+    off += static_cast<uint64_t>(r);
+  }
+  return Status::OK();
+}
+
+/// PreadFull that bumps the store's read_syscalls counter.
+Status CountedPread(std::atomic<uint64_t>* reads, int fd, char* p, size_t n,
+                    uint64_t off, const std::string& path) {
+  reads->fetch_add(1, std::memory_order_relaxed);
+  return PreadFull(fd, p, n, off, path);
 }
 
 /// One on-disk segment. The fd stays open for the Segment's lifetime so
@@ -65,15 +117,15 @@ struct Segment {
 };
 
 /// Buffered sequential reader for segment scans: bytes come out of a
-/// kScanChunk staging buffer refilled with large backend reads, so a scan
+/// kScanChunk staging buffer refilled with large preads, so a scan
 /// costs O(file_size / kScanChunk) syscalls instead of two per record.
 /// Payloads bigger than a chunk bypass the buffer and read straight into
 /// the destination.
 class ChunkReader {
  public:
-  ChunkReader(IoBackend* io, int fd, const std::string& path,
+  ChunkReader(std::atomic<uint64_t>* reads, int fd, const std::string& path,
               uint64_t file_size)
-      : io_(io), fd_(fd), path_(path), file_size_(file_size) {}
+      : reads_(reads), fd_(fd), path_(path), file_size_(file_size) {}
 
   Status Read(uint64_t off, char* dst, size_t n) {
     while (n > 0) {
@@ -92,11 +144,12 @@ class ChunkReader {
             static_cast<unsigned long long>(off),
             static_cast<unsigned long long>(off + n - file_size_)));
       }
-      if (n >= kScanChunk) return io_->Pread(fd_, dst, n, off, path_);
+      if (n >= kScanChunk) return CountedPread(reads_, fd_, dst, n, off, path_);
       size_t fill = kScanChunk;
       if (fill > file_size_ - off) fill = file_size_ - off;
       buffer_.resize(fill);
-      BS_RETURN_NOT_OK(io_->Pread(fd_, buffer_.data(), fill, off, path_));
+      BS_RETURN_NOT_OK(
+          CountedPread(reads_, fd_, buffer_.data(), fill, off, path_));
       buf_off_ = off;
       buf_len_ = fill;
     }
@@ -104,7 +157,7 @@ class ChunkReader {
   }
 
  private:
-  IoBackend* io_;
+  std::atomic<uint64_t>* reads_;
   int fd_;
   const std::string& path_;
   uint64_t file_size_;
@@ -119,9 +172,10 @@ class ChunkReader {
 using RecordFn =
     std::function<void(const RecordHeader&, uint64_t, const std::string&)>;
 
-uint64_t ScanRecords(IoBackend* io, int fd, const std::string& path,
-                     uint64_t file_size, const RecordFn& fn) {
-  ChunkReader reader(io, fd, path, file_size);
+uint64_t ScanRecords(std::atomic<uint64_t>* reads, int fd,
+                     const std::string& path, uint64_t file_size,
+                     const RecordFn& fn) {
+  ChunkReader reader(reads, fd, path, file_size);
   uint64_t off = kSegmentHeaderSize;
   char header[kRecordHeaderSize];
   std::string payload;
@@ -146,24 +200,17 @@ class LogPageStore : public PageStore {
  public:
   LogPageStore(std::string dir, LogPageStoreOptions opts)
       : dir_(std::move(dir)), opts_(opts) {
-    IoBackendOptions io_opts;
-    io_opts.staging_bytes = opts_.staging_bytes;
-    io_ = MakeIoBackend(opts_.io_backend, io_opts);
     init_error_ = Open();
     if (!init_error_.ok()) {
       BS_LOG(Error) << "pagelog open " << dir_
                     << " failed: " << init_error_.ToString();
-    } else {
-      BS_LOG(Info) << "pagelog " << dir_ << " using io backend "
-                   << io_->name();
     }
   }
 
   ~LogPageStore() override {
-    // Best-effort durability on clean shutdown when running with sync off;
-    // also writes back any uring-staged tail and trims O_DIRECT padding.
-    if (init_error_.ok() && active_ && active_->fd >= 0) {
-      Status s = io_->FinishAppend();
+    // Best-effort durability on clean shutdown when running with sync off.
+    if (init_error_.ok() && active_) {
+      Status s = SyncSegment(*active_);
       if (!s.ok()) {
         BS_LOG(Warn) << "pagelog shutdown flush of " << dir_
                      << " failed: " << s.ToString()
@@ -220,8 +267,9 @@ class LogPageStore : public PageStore {
     if (len == 0) return Status::OK();
     // Record payloads are immutable once indexed, so the read needs no store
     // lock; the shared_ptr keeps the fd usable even if compaction unlinks the
-    // file, and the backend serves any still-staged tail bytes from memory.
-    return io_->Pread(seg->fd, out->data(), len, e.offset + offset, seg->path)
+    // file.
+    return CountedPread(&preads_, seg->fd, out->data(), len, e.offset + offset,
+                        seg->path)
         .WithContext("page " + id.ToString());
   }
 
@@ -342,11 +390,7 @@ class LogPageStore : public PageStore {
     st.dead_bytes = 0;
     for (const auto& [seq, seg] : segments_)
       st.dead_bytes += seg->total_payload - seg->live_payload;
-    IoBackendStats io = io_->stats();
-    st.io_submissions = io.io_submissions;
-    st.io_sqes = io.io_sqes;
-    st.bytes_written = io.bytes_written;
-    st.read_syscalls = io.read_syscalls;
+    st.read_syscalls = preads_.load(std::memory_order_relaxed);
     return st;
   }
 
@@ -388,8 +432,6 @@ class LogPageStore : public PageStore {
       BS_RETURN_NOT_OK(CreateSegmentLocked(1));
     } else {
       active_ = segments_.rbegin()->second;
-      BS_RETURN_NOT_OK(
-          io_->BeginAppend(active_->fd, active_->path, active_->size));
     }
     return Status::OK();
   }
@@ -413,7 +455,7 @@ class LogPageStore : public PageStore {
     uint64_t hdr_seq = 0;
     bool header_ok =
         file_size >= kSegmentHeaderSize &&
-        io_->Pread(fd, header, kSegmentHeaderSize, 0, path).ok() &&
+        CountedPread(&preads_, fd, header, kSegmentHeaderSize, 0, path).ok() &&
         DecodeSegmentHeader(header, &hdr_seq) && hdr_seq == seq;
     if (!header_ok) {
       // A segment whose header never hit the disk holds nothing durable;
@@ -427,7 +469,7 @@ class LogPageStore : public PageStore {
 
     segments_.emplace(seq, seg);
     uint64_t valid_end = ScanRecords(
-        io_.get(), fd, path, file_size,
+        &preads_, fd, path, file_size,
         [&](const RecordHeader& h, uint64_t payload_off,
             const std::string& payload) {
           if (h.type == kRecordPut) {
@@ -479,15 +521,14 @@ class LogPageStore : public PageStore {
     seg->seq = seq;
     seg->fd = fd;
     seg->path = path;
-    BS_RETURN_NOT_OK(io_->BeginAppend(fd, path, 0));
     char header[kSegmentHeaderSize];
     EncodeSegmentHeader(seq, header);
-    Status s = io_->Append(0, Slice(header, kSegmentHeaderSize), Slice());
+    Status s = PwriteFull(fd, header, kSegmentHeaderSize, 0, path);
     if (!s.ok()) {
-      io_->AbandonActive();
       ::unlink(path.c_str());
       return s;
     }
+    stats_.bytes_written += kSegmentHeaderSize;
     seg->size = kSegmentHeaderSize;
     // Persist the directory entry so the segment file itself survives a
     // crash (its records are made durable by the group-commit syncs).
@@ -498,9 +539,9 @@ class LogPageStore : public PageStore {
     return Status::OK();
   }
 
-  /// Seals the active segment (flushing it) and opens the next one.
+  /// Seals the active segment (syncing it) and opens the next one.
   Status RotateLocked() {
-    BS_RETURN_NOT_OK(io_->Flush());
+    BS_RETURN_NOT_OK(SyncSegment(*active_));
     stats_.syncs++;
     return CreateSegmentLocked(active_->seq + 1);
   }
@@ -517,22 +558,28 @@ class LogPageStore : public PageStore {
 
     char header[kRecordHeaderSize];
     EncodeRecordHeader(type, id, payload, header);
-    uint64_t off = active_->size;
-    Status s = io_->Append(off, Slice(header, kRecordHeaderSize), payload);
+    Segment& seg = *active_;
+    uint64_t off = seg.size;
+    Status s = PwriteFull(seg.fd, header, kRecordHeaderSize, off, seg.path);
+    if (s.ok() && !payload.empty()) {
+      s = PwriteFull(seg.fd, payload.data(), payload.size(),
+                     off + kRecordHeaderSize, seg.path);
+    }
     if (!s.ok()) {
-      // Roll back the partial record so the in-memory size keeps matching
-      // the valid (written or staged) prefix.
-      Status rb = io_->TruncateActive(off);
-      if (!rb.ok()) {
-        BS_LOG(Warn) << "pagelog: append rollback of " << active_->path
+      // Roll back the partial record so the file keeps matching the
+      // in-memory size.
+      if (::ftruncate(seg.fd, static_cast<off_t>(off)) != 0) {
+        Status rb = ErrnoStatus("ftruncate", seg.path, off);
+        BS_LOG(Warn) << "pagelog: append rollback of " << seg.path
                      << " failed: " << rb.ToString();
       }
       return s;
     }
-    active_->size += rec_size;
-    if (type == kRecordPut) active_->total_payload += payload.size();
+    stats_.bytes_written += rec_size;
+    seg.size += rec_size;
+    if (type == kRecordPut) seg.total_payload += payload.size();
     append_seq_++;
-    out->seq = active_->seq;
+    out->seq = seg.seq;
     out->offset = off + kRecordHeaderSize;
     out->len = static_cast<uint32_t>(payload.size());
     return Status::OK();
@@ -551,15 +598,18 @@ class LogPageStore : public PageStore {
       }
       sync_in_flight_ = true;
       uint64_t target;
+      std::shared_ptr<Segment> seg;
       {
         std::lock_guard<std::mutex> lock(mu_);
         target = append_seq_;
+        seg = active_;
       }
       l.unlock();
-      // Records up to `target` are either staged for the active segment or
-      // in a segment that was already flushed when it was sealed, so one
-      // backend flush covers them all.
-      Status fs = io_->Flush();
+      // Records up to `target` are either in `seg` or in a segment that was
+      // synced when it was sealed, so one fdatasync of `seg` covers them
+      // all. Holding the shared_ptr keeps its fd open even if a rotation
+      // seals it and compaction drops it while the sync is in flight.
+      Status fs = SyncSegment(*seg);
       l.lock();
       sync_in_flight_ = false;
       sync_cv_.notify_all();
@@ -571,11 +621,21 @@ class LogPageStore : public PageStore {
     return Status::OK();
   }
 
-  /// Unconditional flush of the active segment (compaction durability).
+  /// Unconditional sync of the active segment (compaction durability).
   Status SyncActive() {
-    BS_RETURN_NOT_OK(io_->Flush());
+    std::shared_ptr<Segment> seg;
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      seg = active_;
+    }
+    BS_RETURN_NOT_OK(SyncSegment(*seg));
     std::lock_guard<std::mutex> lock(mu_);
     stats_.syncs++;
+    return Status::OK();
+  }
+
+  static Status SyncSegment(const Segment& seg) {
+    if (::fdatasync(seg.fd) != 0) return ErrnoStatus("fdatasync", seg.path, 0);
     return Status::OK();
   }
 
@@ -592,7 +652,7 @@ class LogPageStore : public PageStore {
                         const std::set<uint32_t>& victim_seqs) {
     Status io = Status::OK();
     ScanRecords(
-        io_.get(), victim.fd, victim.path, victim.size,
+        &preads_, victim.fd, victim.path, victim.size,
         [&](const RecordHeader& h, uint64_t payload_off,
             const std::string& payload) {
           if (!io.ok()) return;
@@ -634,7 +694,6 @@ class LogPageStore : public PageStore {
 
   const std::string dir_;
   const LogPageStoreOptions opts_;
-  std::unique_ptr<IoBackend> io_;
   Status init_error_;
   int dir_fd_ = -1;
 
@@ -657,6 +716,9 @@ class LogPageStore : public PageStore {
   std::shared_ptr<Segment> active_;
   uint64_t append_seq_ = 0;
   PageStoreStats stats_;
+  /// Preads issued (stats' read_syscalls). Reads run outside mu_, so the
+  /// counter lives apart from stats_.
+  std::atomic<uint64_t> preads_{0};
 
   std::mutex sync_mu_;
   std::condition_variable sync_cv_;

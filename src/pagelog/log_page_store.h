@@ -41,20 +41,6 @@ struct LogPageStoreOptions {
   /// compact_min_dead_ratio still decides *which* segments it rewrites.
   /// 0 (the default) keeps compaction manual.
   double compact_dead_ratio = 0;
-
-  /// Raw-I/O backend for the append path: "psync" (buffered pwrite +
-  /// fdatasync, the portable baseline), "uring" (batched io_uring
-  /// submissions), or "uring-direct" (io_uring + O_DIRECT aligned writes).
-  /// Empty consults the BLOBSEER_IO_BACKEND environment variable, then
-  /// defaults to "psync". Unknown or kernel-unsupported backends fall back
-  /// to psync with a logged note — segment files are byte-identical across
-  /// backends either way.
-  std::string io_backend;
-
-  /// Staging arena for the uring backend: bytes accumulated between flushes
-  /// (and the registered-buffer size). With sync=false this bounds the
-  /// process-crash loss window on top of the usual page-cache window.
-  uint64_t staging_bytes = 2ull << 20;
 };
 
 /// Opens (creating or recovering) a log-structured store rooted at `dir`.

@@ -22,24 +22,20 @@ struct PageStoreStats {
   uint64_t reads = 0;
   uint64_t deletes = 0;
   // Log-structured backend extension (zero for the other engines).
-  uint64_t segments = 0;     ///< on-disk segment files currently open
-  uint64_t dead_bytes = 0;   ///< payload bytes of deleted/duplicate records
-  uint64_t syncs = 0;        ///< fdatasync/fsync calls issued (group commit)
-  uint64_t compactions = 0;  ///< segments reclaimed by Compact()
-  // Raw-I/O backend counters (pagelog IoBackend seam; zero elsewhere).
-  uint64_t io_submissions = 0;  ///< batched submission syscalls (io_uring_enter
-                                ///< for uring; every pwrite/fsync for psync)
-  uint64_t io_sqes = 0;         ///< individual I/O ops submitted (SQEs)
-  uint64_t bytes_written = 0;   ///< file bytes written via the append path
-  uint64_t read_syscalls = 0;   ///< pread syscalls issued by the read path
-  uint64_t recovery_us = 0;     ///< open-time segment scan/replay micros
+  uint64_t segments = 0;       ///< on-disk segment files currently open
+  uint64_t dead_bytes = 0;     ///< payload bytes of deleted/duplicate records
+  uint64_t syncs = 0;          ///< fdatasync/fsync calls issued (group commit)
+  uint64_t compactions = 0;    ///< segments reclaimed by Compact()
+  uint64_t bytes_written = 0;  ///< file bytes written via the append path
+  uint64_t read_syscalls = 0;  ///< pread calls issued by the read path
+  uint64_t recovery_us = 0;    ///< open-time segment scan/replay micros
 
   friend bool operator==(const PageStoreStats&,
                          const PageStoreStats&) = default;
 
   BS_FIELDS(PageStoreStats, pages, bytes, writes, reads, deletes, segments,
-            dead_bytes, syncs, compactions, io_submissions, io_sqes,
-            bytes_written, read_syscalls, recovery_us)
+            dead_bytes, syncs, compactions, bytes_written, read_syscalls,
+            recovery_us)
 };
 
 /// Abstract page object store. Page objects are immutable once written

@@ -10,10 +10,6 @@
 // --store selects the provider page engine: "memory" (default), "null", or
 // "log:<dir>" (log-structured segment store with group-commit durability;
 // see docs/pagelog_format.md).
-// --io-backend selects the raw-I/O path of a "log:" store: "psync"
-// (default), "uring" (batched io_uring submissions), or "uring-direct"
-// (io_uring + O_DIRECT); unknown or kernel-unsupported values fall back to
-// psync with a logged note. Empty consults BLOBSEER_IO_BACKEND.
 // --compact-interval=SECONDS (0 = off, the default) runs a background
 // PageStore::Compact() pass on that period so deleted pages are reclaimed
 // without an operator in the loop.
@@ -74,7 +70,6 @@ int main(int argc, char** argv) {
   std::string roles = FlagValue(argc, argv, "roles", "provider,meta");
   std::string pm_addr = FlagValue(argc, argv, "pmanager", "");
   std::string store_spec = FlagValue(argc, argv, "store", "memory");
-  std::string io_backend = FlagValue(argc, argv, "io-backend", "");
   std::string allocation = FlagValue(argc, argv, "allocation", "round_robin");
   uint64_t capacity =
       strtoull(FlagValue(argc, argv, "capacity", "0").c_str(), nullptr, 10);
@@ -140,7 +135,6 @@ int main(int argc, char** argv) {
     } else if (role == "provider") {
       pagelog::LogPageStoreOptions lo;
       lo.compact_dead_ratio = compact_dead_ratio;
-      lo.io_backend = io_backend;
       auto store = core::MakePageStore(store_spec, lo);
       if (!store) {
         fprintf(stderr, "unknown --store: %s\n", store_spec.c_str());

@@ -88,38 +88,19 @@ TEST(PlacementTest, StaticSpreadsKeys) {
 }
 
 TEST(PlacementTest, ReplicasAreDistinct) {
-  for (auto make : {MakeStaticPlacement, +[](size_t n) {
-         return MakeRingPlacement(n, 64);
-       }}) {
-    auto p = make(5);
-    for (int i = 0; i < 50; i++) {
-      auto reps = p->ReplicaNodes(Slice("k" + std::to_string(i)), 3);
-      ASSERT_EQ(reps.size(), 3u);
-      EXPECT_NE(reps[0], reps[1]);
-      EXPECT_NE(reps[1], reps[2]);
-      EXPECT_NE(reps[0], reps[2]);
-    }
+  StaticPlacement p(5);
+  for (int i = 0; i < 50; i++) {
+    auto reps = p.ReplicaNodes(Slice("k" + std::to_string(i)), 3);
+    ASSERT_EQ(reps.size(), 3u);
+    EXPECT_NE(reps[0], reps[1]);
+    EXPECT_NE(reps[1], reps[2]);
+    EXPECT_NE(reps[0], reps[2]);
   }
 }
 
 TEST(PlacementTest, ReplicasClampToNodeCount) {
   StaticPlacement p(2);
   EXPECT_EQ(p.ReplicaNodes(Slice("k"), 5).size(), 2u);
-}
-
-TEST(PlacementTest, RingIsMostlyStableUnderGrowth) {
-  RingPlacement before(10, 64);
-  RingPlacement after(11, 64);
-  int moved = 0;
-  const int kKeys = 2000;
-  for (int i = 0; i < kKeys; i++) {
-    std::string k = "stable" + std::to_string(i);
-    if (before.NodeFor(Slice(k)) != after.NodeFor(Slice(k))) moved++;
-  }
-  // Consistent hashing should move roughly 1/11 of keys, far below the
-  // ~10/11 a mod-N scheme would move.
-  EXPECT_LT(moved, kKeys / 4);
-  EXPECT_GT(moved, 0);
 }
 
 class DhtClientTest : public ::testing::Test {

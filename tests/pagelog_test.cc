@@ -14,7 +14,6 @@
 #include <vector>
 
 #include "pagelog/format.h"
-#include "pagelog/io_backend.h"
 #include "pagelog/log_page_store.h"
 #include "provider/page_store.h"
 
@@ -354,240 +353,53 @@ TEST_F(PageLogTest, GroupCommitCoalescesConcurrentSyncs) {
   EXPECT_EQ(store_->GetStats().pages, kThreads * kPerThread);
 }
 
-// ---------------------------------------------------------------------------
-// Raw-I/O backend seam (docs/pagelog_format.md, "The raw-I/O path"): the
-// psync and io_uring backends must produce byte-identical segment files for
-// identical operation sequences, recover identically from damage, and fall
-// back to psync when unavailable. Tests that need a real io_uring kernel
-// skip with a note elsewhere.
-// ---------------------------------------------------------------------------
-
-/// Backends to exercise: psync always, the uring variants when the kernel
-/// cooperates (on other kernels the psync pass still runs, so the tests
-/// never go dark).
-std::vector<std::string> AvailableBackends() {
-  std::vector<std::string> b = {"psync"};
-  if (IoUringSupported()) {
-    b.push_back("uring");
-    b.push_back("uring-direct");
-  }
-  return b;
-}
-
-std::string FileBytes(const std::string& path) {
-  FILE* f = ::fopen(path.c_str(), "rb");
-  EXPECT_NE(f, nullptr) << path;
-  if (f == nullptr) return "";
-  std::string out;
-  char buf[4096];
-  size_t n;
-  while ((n = ::fread(buf, 1, sizeof(buf), f)) > 0) out.append(buf, n);
-  ::fclose(f);
-  return out;
-}
-
-TEST_F(PageLogTest, BackendsProduceByteIdenticalSegments) {
-  if (!IoUringSupported()) {
-    GTEST_SKIP() << "io_uring unavailable on this kernel; parity covered by "
-                    "the psync-only suites";
-  }
-  // One deterministic single-threaded history: puts with rotation, deletes,
-  // a compaction, more puts, then a clean close (which trims any O_DIRECT
-  // alignment padding). Every backend must leave the same files behind.
-  auto run = [&](const std::string& backend, const std::string& dir) {
-    LogPageStoreOptions opts;
-    opts.segment_target_bytes = kSegTarget;
-    opts.compact_min_dead_ratio = 0.5;
-    opts.io_backend = backend;
-    auto store = MakeLogPageStore(dir, opts);
-    for (uint64_t i = 0; i < 10; i++) {
-      ASSERT_TRUE(store->Put(PageId{1, i}, Slice(PageContent(i))).ok());
-    }
-    for (uint64_t i : {0, 1, 2, 4}) {
-      ASSERT_TRUE(store->Delete(PageId{1, i}).ok());
-    }
-    ASSERT_TRUE(store->Compact().ok());
-    for (uint64_t i = 10; i < 14; i++) {
-      ASSERT_TRUE(store->Put(PageId{2, i}, Slice(PageContent(i))).ok());
-    }
-    // Recovery must see the same state the writer left.
-    store.reset();
-    store = MakeLogPageStore(dir, opts);
-    auto st = store->GetStats();
-    EXPECT_EQ(st.pages, 10u) << backend;
-    std::string out;
-    for (uint64_t i = 5; i < 10; i++) {
-      ASSERT_TRUE(store->Read(PageId{1, i}, 0, 0, &out).ok())
-          << backend << " page " << i;
-      EXPECT_EQ(out, PageContent(i));
-    }
-  };
-
-  std::vector<std::string> backends = AvailableBackends();
-  for (const auto& b : backends) run(b, dir_ + "/" + b);
-
-  std::filesystem::path base = dir_ + "/" + backends[0];
-  std::vector<std::string> names;
-  for (const auto& e : std::filesystem::directory_iterator(base)) {
-    names.push_back(e.path().filename().string());
-  }
-  std::sort(names.begin(), names.end());
-  EXPECT_GT(names.size(), 1u);
-  for (size_t i = 1; i < backends.size(); i++) {
-    std::filesystem::path other = dir_ + "/" + backends[i];
-    std::vector<std::string> other_names;
-    for (const auto& e : std::filesystem::directory_iterator(other)) {
-      other_names.push_back(e.path().filename().string());
-    }
-    std::sort(other_names.begin(), other_names.end());
-    ASSERT_EQ(other_names, names) << backends[i];
-    for (const auto& n : names) {
-      EXPECT_EQ(FileBytes((other / n).string()), FileBytes((base / n).string()))
-          << backends[i] << " segment " << n
-          << " diverges from the psync layout";
-    }
-  }
-}
-
-TEST_F(PageLogTest, TornTailRecoveryIsBackendAgnostic) {
-  for (const auto& backend : AvailableBackends()) {
-    std::string dir = dir_ + "/" + backend;
-    LogPageStoreOptions opts;
-    opts.segment_target_bytes = kSegTarget;
-    opts.io_backend = backend;
-    auto store = MakeLogPageStore(dir, opts);
-    for (uint64_t i = 0; i < 10; i++) {
-      ASSERT_TRUE(store->Put(PageId{1, i}, Slice(PageContent(i))).ok());
-    }
-    store.reset();
-
-    std::vector<std::string> files;
-    for (const auto& e : std::filesystem::directory_iterator(dir)) {
-      files.push_back(e.path().string());
-    }
-    std::sort(files.begin(), files.end());
-    TruncateFile(files.back(), std::filesystem::file_size(files.back()) - 1);
-
-    store = MakeLogPageStore(dir, opts);
-    EXPECT_EQ(store->GetStats().pages, 9u) << backend;
-    std::string out;
-    EXPECT_TRUE(store->Read(PageId{1, 9}, 0, 0, &out).IsNotFound()) << backend;
-    ASSERT_TRUE(store->Put(PageId{1, 9}, Slice(PageContent(9))).ok())
-        << backend;
-    ASSERT_TRUE(store->Read(PageId{1, 9}, 0, 0, &out).ok()) << backend;
-    EXPECT_EQ(out, PageContent(9));
-  }
-}
-
-TEST_F(PageLogTest, CrcFlipRecoveryIsBackendAgnostic) {
-  for (const auto& backend : AvailableBackends()) {
-    std::string dir = dir_ + "/" + backend;
-    LogPageStoreOptions opts;
-    opts.segment_target_bytes = kSegTarget;
-    opts.io_backend = backend;
-    auto store = MakeLogPageStore(dir, opts);
-    for (uint64_t i = 0; i < 10; i++) {
-      ASSERT_TRUE(store->Put(PageId{1, i}, Slice(PageContent(i))).ok());
-    }
-    store.reset();
-
-    std::vector<std::string> files;
-    for (const auto& e : std::filesystem::directory_iterator(dir)) {
-      files.push_back(e.path().string());
-    }
-    std::sort(files.begin(), files.end());
-    FlipByte(files.front(), kSegmentHeaderSize + kRecordHeaderSize + 17);
-
-    store = MakeLogPageStore(dir, opts);
-    EXPECT_EQ(store->GetStats().pages, 7u) << backend;
-    std::string out;
-    for (uint64_t i = 0; i < 3; i++) {
-      EXPECT_TRUE(store->Read(PageId{1, i}, 0, 0, &out).IsNotFound())
-          << backend << " page " << i;
-    }
-    for (uint64_t i = 3; i < 10; i++) {
-      ASSERT_TRUE(store->Read(PageId{1, i}, 0, 0, &out).ok())
-          << backend << " page " << i;
-      EXPECT_EQ(out, PageContent(i));
-    }
-  }
-}
-
-TEST_F(PageLogTest, StagedTailIsReadableBeforeFlush) {
-  if (!IoUringSupported()) {
-    GTEST_SKIP() << "io_uring unavailable on this kernel";
-  }
-  for (const std::string backend : {"uring", "uring-direct"}) {
-    std::string dir = dir_ + "/" + backend;
-    LogPageStoreOptions opts;
-    opts.sync = false;  // appends stay staged in the arena until a flush
-    opts.io_backend = backend;
-    auto store = MakeLogPageStore(dir, opts);
-    std::string out;
-    for (uint64_t i = 0; i < 20; i++) {
-      ASSERT_TRUE(store->Put(PageId{1, i}, Slice(PageContent(i))).ok());
-      ASSERT_TRUE(store->Read(PageId{1, i}, 0, 0, &out).ok())
-          << backend << " page " << i;
-      ASSERT_EQ(out, PageContent(i)) << backend << " page " << i;
-    }
-    // Sub-range reads must also split correctly across the on-file /
-    // staged boundary.
-    ASSERT_TRUE(store->Read(PageId{1, 19}, 100, 50, &out).ok()) << backend;
-    EXPECT_EQ(out, PageContent(19).substr(100, 50));
-    // The staged tail reaches the file on close and survives recovery.
-    store.reset();
-    store = MakeLogPageStore(dir, opts);
-    EXPECT_EQ(store->GetStats().pages, 20u) << backend;
-    for (uint64_t i = 0; i < 20; i++) {
-      ASSERT_TRUE(store->Read(PageId{1, i}, 0, 0, &out).ok())
-          << backend << " page " << i;
-      EXPECT_EQ(out, PageContent(i));
-    }
-  }
-}
-
-TEST_F(PageLogTest, UnknownIoBackendFallsBackToPsync) {
-  LogPageStoreOptions opts;
-  opts.io_backend = "not-a-backend";
-  Open(opts);
-  PutPages(3);
-  std::string out;
-  for (uint64_t i = 0; i < 3; i++) {
-    ASSERT_TRUE(store_->Read(PageId{1, i}, 0, 0, &out).ok());
-    EXPECT_EQ(out, PageContent(i));
-  }
-  // psync reports one submission per syscall, so sqes == submissions.
+TEST_F(PageLogTest, IoStatsTrackAppendsAndRecovery) {
+  Open(LogPageStoreOptions{});
+  constexpr uint64_t kPages = 200;
+  PutPages(kPages);
   auto st = store_->GetStats();
-  EXPECT_EQ(st.io_sqes, st.io_submissions);
-  EXPECT_GT(st.io_submissions, 0u);
+  EXPECT_GE(st.bytes_written, kPages * kPayload);
+  EXPECT_EQ(st.recovery_us, 0u) << "fresh dir, nothing to scan";
+
+  // A reopen scans every record; the scan must be timed and the reads
+  // counted.
+  Reopen();
+  std::string out;
+  ASSERT_TRUE(store_->Read(PageId{1, 0}, 0, 0, &out).ok());
+  st = store_->GetStats();
+  EXPECT_GT(st.recovery_us, 0u);
+  EXPECT_GT(st.read_syscalls, 0u);
 }
 
-TEST_F(PageLogTest, IoStatsTrackTheBackend) {
-  for (const auto& backend : AvailableBackends()) {
-    std::string dir = dir_ + "/" + backend;
-    LogPageStoreOptions opts;
-    opts.io_backend = backend;
-    auto store = MakeLogPageStore(dir, opts);
-    constexpr uint64_t kPages = 200;
-    for (uint64_t i = 0; i < kPages; i++) {
-      ASSERT_TRUE(store->Put(PageId{1, i}, Slice(PageContent(i))).ok());
-    }
-    auto st = store->GetStats();
-    EXPECT_GT(st.io_submissions, 0u) << backend;
-    EXPECT_GE(st.io_sqes, st.io_submissions / 2) << backend;
-    EXPECT_GE(st.bytes_written, kPages * kPayload) << backend;
-    EXPECT_EQ(st.recovery_us, 0u) << backend << " (fresh dir, nothing to scan)";
+TEST_F(PageLogTest, ByteAndReadCountersMatchTheFiles) {
+  LogPageStoreOptions opts;
+  opts.segment_target_bytes = kSegTarget;
+  Open(opts);
+  PutPages(5);  // the fourth page rotates into a second segment
+  ASSERT_TRUE(store_->Delete(PageId{1, 1}).ok());
+  ASSERT_TRUE(store_->Delete(PageId{1, 3}).ok());
 
-    // A reopen scans every record; the scan must be timed and the reads
-    // counted.
-    store.reset();
-    store = MakeLogPageStore(dir, opts);
-    std::string out;
-    ASSERT_TRUE(store->Read(PageId{1, 0}, 0, 0, &out).ok()) << backend;
-    st = store->GetStats();
-    EXPECT_GT(st.recovery_us, 0u) << backend;
-    EXPECT_GT(st.read_syscalls, 0u) << backend;
+  // Every byte the append path wrote (segment headers, put records,
+  // tombstones) is in a segment file, and nothing else is.
+  auto st = store_->GetStats();
+  ASSERT_EQ(st.segments, 2u);
+  uint64_t file_bytes = 0;
+  for (const auto& f : SegmentFiles())
+    file_bytes += std::filesystem::file_size(f);
+  EXPECT_EQ(st.bytes_written, file_bytes);
+
+  // A Read costs exactly one pread, whole-page or ranged, in a sealed
+  // segment or the active one.
+  std::string out;
+  for (uint64_t i : {0, 2, 4}) {
+    uint64_t before = store_->GetStats().read_syscalls;
+    ASSERT_TRUE(store_->Read(PageId{1, i}, 0, 0, &out).ok()) << "page " << i;
+    EXPECT_EQ(store_->GetStats().read_syscalls, before + 1) << "page " << i;
   }
+  uint64_t before = store_->GetStats().read_syscalls;
+  ASSERT_TRUE(store_->Read(PageId{1, 4}, 100, 50, &out).ok());
+  EXPECT_EQ(out, PageContent(4).substr(100, 50));
+  EXPECT_EQ(store_->GetStats().read_syscalls, before + 1);
 }
 
 TEST_F(PageLogTest, OpenFailureIsReportedByOperations) {

@@ -68,7 +68,7 @@ template <>
 provider::DeleteRequest Sample() { return {PageId{7, 8}}; }
 template <>
 provider::PageStoreStats Sample() {
-  return {1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14};
+  return {1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12};
 }
 
 template <>
@@ -251,8 +251,7 @@ TEST(WireGoldenTest, EveryRecordEncodesToPinnedBytes) {
   EXPECT_EQ(WireHex(Sample<provider::PageStoreStats>()),
             "0100000000000000020000000000000003000000000000000400000000000000"
             "0500000000000000060000000000000007000000000000000800000000000000"
-            "09000000000000000a000000000000000b000000000000000c00000000000000"
-            "0d000000000000000e00000000000000");
+            "09000000000000000a000000000000000b000000000000000c00000000000000");
   EXPECT_EQ(WireHex(Sample<pmanager::RegisterRequest>()),
             "06000000686f73743a316400000000000000");
   EXPECT_EQ(WireHex(Sample<pmanager::RegisterResponse>()), "09000000");
