@@ -265,59 +265,66 @@ TEST_F(PageLogTest, CrashedCompactionDuplicateCannotResurrectDeletedPage) {
 }
 
 TEST_F(PageLogTest, CompactionPreservesReadsUnderConcurrentPuts) {
-  LogPageStoreOptions opts;
-  opts.segment_target_bytes = 2048;
-  opts.compact_min_dead_ratio = 0.3;
-  opts.sync = false;
-  Open(opts);
+  // With sync on, the writers' group-commit leader also races the
+  // rotations and compactions that seal and drop segments.
+  for (bool sync : {false, true}) {
+    SCOPED_TRACE(sync ? "sync" : "nosync");
+    store_.reset();
+    std::filesystem::remove_all(dir_);
+    LogPageStoreOptions opts;
+    opts.segment_target_bytes = 2048;
+    opts.compact_min_dead_ratio = 0.3;
+    opts.sync = sync;
+    Open(opts);
 
-  // Prefill and punch holes so there is plenty to compact.
-  constexpr uint64_t kPrefill = 60;
-  for (uint64_t i = 0; i < kPrefill; i++) {
-    ASSERT_TRUE(store_->Put(PageId{1, i}, Slice(PageContent(i))).ok());
-  }
-  for (uint64_t i = 0; i < kPrefill; i += 2) {
-    ASSERT_TRUE(store_->Delete(PageId{1, i}).ok());
-  }
+    // Prefill and punch holes so there is plenty to compact.
+    constexpr uint64_t kPrefill = 60;
+    for (uint64_t i = 0; i < kPrefill; i++) {
+      ASSERT_TRUE(store_->Put(PageId{1, i}, Slice(PageContent(i))).ok());
+    }
+    for (uint64_t i = 0; i < kPrefill; i += 2) {
+      ASSERT_TRUE(store_->Delete(PageId{1, i}).ok());
+    }
 
-  constexpr int kWriters = 2;
-  constexpr uint64_t kPerWriter = 100;
-  std::vector<std::thread> writers;
-  for (int w = 0; w < kWriters; w++) {
-    writers.emplace_back([&, w] {
-      for (uint64_t i = 0; i < kPerWriter; i++) {
-        PageId id{9, static_cast<uint64_t>(w) * kPerWriter + i};
-        ASSERT_TRUE(store_->Put(id, Slice(PageContent(id.lo))).ok());
-        std::string out;
-        ASSERT_TRUE(store_->Read(id, 0, 0, &out).ok());
-        ASSERT_EQ(out, PageContent(id.lo));
-      }
-    });
-  }
-  for (int round = 0; round < 10; round++) {
+    constexpr int kWriters = 2;
+    constexpr uint64_t kPerWriter = 100;
+    std::vector<std::thread> writers;
+    for (int w = 0; w < kWriters; w++) {
+      writers.emplace_back([&, w] {
+        for (uint64_t i = 0; i < kPerWriter; i++) {
+          PageId id{9, static_cast<uint64_t>(w) * kPerWriter + i};
+          ASSERT_TRUE(store_->Put(id, Slice(PageContent(id.lo))).ok());
+          std::string out;
+          ASSERT_TRUE(store_->Read(id, 0, 0, &out).ok());
+          ASSERT_EQ(out, PageContent(id.lo));
+        }
+      });
+    }
+    for (int round = 0; round < 10; round++) {
+      ASSERT_TRUE(store_->Compact().ok());
+    }
+    for (auto& t : writers) t.join();
     ASSERT_TRUE(store_->Compact().ok());
-  }
-  for (auto& t : writers) t.join();
-  ASSERT_TRUE(store_->Compact().ok());
 
-  auto st = store_->GetStats();
-  EXPECT_EQ(st.pages, kPrefill / 2 + kWriters * kPerWriter);
-  EXPECT_GE(st.compactions, 1u);
-  std::string out;
-  for (uint64_t i = 1; i < kPrefill; i += 2) {
-    ASSERT_TRUE(store_->Read(PageId{1, i}, 0, 0, &out).ok()) << "page " << i;
-    EXPECT_EQ(out, PageContent(i));
-  }
-  for (uint64_t i = 0; i < kWriters * kPerWriter; i++) {
-    ASSERT_TRUE(store_->Read(PageId{9, i}, 0, 0, &out).ok()) << "page " << i;
-    EXPECT_EQ(out, PageContent(i));
-  }
+    auto st = store_->GetStats();
+    EXPECT_EQ(st.pages, kPrefill / 2 + kWriters * kPerWriter);
+    EXPECT_GE(st.compactions, 1u);
+    std::string out;
+    for (uint64_t i = 1; i < kPrefill; i += 2) {
+      ASSERT_TRUE(store_->Read(PageId{1, i}, 0, 0, &out).ok()) << "page " << i;
+      EXPECT_EQ(out, PageContent(i));
+    }
+    for (uint64_t i = 0; i < kWriters * kPerWriter; i++) {
+      ASSERT_TRUE(store_->Read(PageId{9, i}, 0, 0, &out).ok()) << "page " << i;
+      EXPECT_EQ(out, PageContent(i));
+    }
 
-  // Everything above survives recovery too.
-  Reopen();
-  EXPECT_EQ(store_->GetStats().pages, kPrefill / 2 + kWriters * kPerWriter);
-  for (uint64_t i = 1; i < kPrefill; i += 2) {
-    ASSERT_TRUE(store_->Read(PageId{1, i}, 0, 0, &out).ok()) << "page " << i;
+    // Everything above survives recovery too.
+    Reopen();
+    EXPECT_EQ(store_->GetStats().pages, kPrefill / 2 + kWriters * kPerWriter);
+    for (uint64_t i = 1; i < kPrefill; i += 2) {
+      ASSERT_TRUE(store_->Read(PageId{1, i}, 0, 0, &out).ok()) << "page " << i;
+    }
   }
 }
 
