@@ -12,7 +12,8 @@
 //     cost is charged in virtual time at 20 ns per page ref.
 //
 // Reported: aggregate page-aligned-update throughput for W concurrent
-// writers at several blob sizes, plus metadata stored. Expected shape: the
+// writers at several blob sizes, plus metadata stored and the tree nodes a
+// writer fetches for its first (cold-cache) update. Expected shape: the
 // centralized server is competitive (even ahead) on small blobs — fewer
 // round trips — but its per-update O(N) work collapses as the blob grows
 // and it cannot use more writers; BlobSeer's cost stays O(log N) and
@@ -31,13 +32,21 @@ namespace {
 
 constexpr uint64_t kPsize = 16384;
 
+struct BlobSeerPhase {
+  double updates_per_s = 0;
+  // Tree nodes a fresh writer fetched from the DHT (node-cache misses) for
+  // its first update, averaged over the phase's writers.
+  double cold_update_gets = 0;
+};
+
 // Aggregate updates/s for each writer count in `writer_counts`, doing
 // page-aligned single-page overwrites on an N-page blob through the full
 // BlobSeer stack. One cluster and one pre-population serve all phases.
-std::vector<double> RunBlobSeer(const std::vector<size_t>& writer_counts,
-                                size_t updates_each, uint64_t blob_pages) {
+std::vector<BlobSeerPhase> RunBlobSeer(const std::vector<size_t>& writer_counts,
+                                       size_t updates_each,
+                                       uint64_t blob_pages) {
   simnet::SimScheduler sched;
-  std::vector<double> rates;
+  std::vector<BlobSeerPhase> phases;
   sched.Run([&] {
     size_t max_writers = writer_counts.back();
     core::SimClusterOptions opts;
@@ -64,6 +73,7 @@ std::vector<double> RunBlobSeer(const std::vector<size_t>& writer_counts,
 
     for (size_t writers : writer_counts) {
       double t0 = sched.Now();
+      std::vector<uint64_t> cold_gets(writers, 0);
       std::vector<simnet::SimScheduler::TaskId> tasks;
       for (size_t w = 0; w < writers; w++) {
         tasks.push_back(sched.Spawn([&, w] {
@@ -78,15 +88,20 @@ std::vector<double> RunBlobSeer(const std::vector<size_t>& writer_counts,
               fprintf(stderr, "bs write: %s\n", v.status().ToString().c_str());
               return;
             }
+            if (i == 0) cold_gets[w] = client->meta().GetCacheStats().misses;
           }
         }));
       }
       for (auto t : tasks) sched.Join(t);
-      rates.push_back(static_cast<double>(writers * updates_each) /
-                      ((sched.Now() - t0) / 1e6));
+      BlobSeerPhase phase;
+      phase.updates_per_s = static_cast<double>(writers * updates_each) /
+                            ((sched.Now() - t0) / 1e6);
+      for (uint64_t gets : cold_gets) phase.cold_update_gets += gets;
+      phase.cold_update_gets /= static_cast<double>(writers);
+      phases.push_back(phase);
     }
   });
-  return rates;
+  return phases;
 }
 
 // Same workload against the centralized metadata server (data path
@@ -181,17 +196,21 @@ int main(int argc, char** argv) {
     printf("-- blob size: %" PRIu64 " pages (%s) --\n\n", blob_pages,
            HumanBytes(blob_pages * kPsize).c_str());
     bench::Table table({"writers", "blobseer upd/s", "central upd/s",
-                        "central refs copied/upd", "blobseer meta keys/upd"});
+                        "central refs copied/upd", "blobseer meta keys/upd",
+                        "blobseer gets/cold upd"});
     uint64_t bs_keys = 1;
     for (uint64_t p = 1; p < blob_pages; p *= 2) bs_keys++;
-    std::vector<double> bs = RunBlobSeer(writer_counts, updates, blob_pages);
+    std::vector<BlobSeerPhase> bs =
+        RunBlobSeer(writer_counts, updates, blob_pages);
     std::vector<double> ct = RunCentral(writer_counts, updates, blob_pages);
     for (size_t i = 0; i < writer_counts.size(); i++) {
+      BlobSeerPhase phase = i < bs.size() ? bs[i] : BlobSeerPhase{};
       table.AddRow({std::to_string(writer_counts[i]),
-                    StrFormat("%.0f", i < bs.size() ? bs[i] : 0.0),
+                    StrFormat("%.0f", phase.updates_per_s),
                     StrFormat("%.0f", i < ct.size() ? ct[i] : 0.0),
                     std::to_string(blob_pages),
-                    StrFormat("~%" PRIu64, bs_keys)});
+                    StrFormat("~%" PRIu64, bs_keys),
+                    StrFormat("%.1f", phase.cold_update_gets)});
     }
     table.Print();
     printf("\n");

@@ -54,10 +54,10 @@ struct BlobClient::UpdateOp {
   // Metadata-build state (initialized by PlanMetaAsync).
   BranchAncestry ancestry;
   BlobId self_origin = kInvalidBlobId;
+  // The label of every block in meta::BorderBlocks: from the ticket, or
+  // resolved against the published snapshot. Complete once the plan is.
   std::map<Extent, Version> border_map;
-  std::shared_ptr<meta::MetaClient::SharedNodeMemo> memo;
-  // Guards nodes, merged and compacted: the plan and the leaves build
-  // concurrently.
+  // Guards nodes, merged and compacted: the leaves build concurrently.
   std::mutex mu;
   std::vector<std::pair<NodeKey, MetaNode>> nodes;
   std::vector<std::shared_ptr<std::string>> merged;  // compaction buffers
@@ -602,16 +602,6 @@ Future<Unit> BlobClient::PurgePageAsync(PageId pid,
       .Then([](Result<std::vector<Result<Unit>>>) { return Status::OK(); });
 }
 
-Future<Version> BlobClient::ResolveBorderAsync(std::shared_ptr<UpdateOp> op,
-                                               const Extent& block) {
-  auto it = op->border_map.find(block);
-  if (it != op->border_map.end())
-    return MakeReadyFuture<Version>(Version{it->second});
-  return meta_.ResolveBlockVersionAsync(op->ancestry, op->ticket.published,
-                                        op->ticket.published_size,
-                                        op->desc.psize, block, op->memo);
-}
-
 Future<Unit> BlobClient::BuildLeafAsync(std::shared_ptr<UpdateOp> op,
                                         PageWrite* w) {
   const uint64_t psize = op->desc.psize;
@@ -631,140 +621,115 @@ Future<Unit> BlobClient::BuildLeafAsync(std::shared_ptr<UpdateOp> op,
     return MakeReadyFuture(Status::OK());
   }
 
-  return ResolveBorderAsync(op, block)
-      .Then([this, op, w, block, cs_new,
-             cs_old](Result<Version> prev_r) -> Future<Unit> {
-        if (!prev_r.ok()) return MakeReadyFuture(prev_r.status());
-        Version prev = *prev_r;
-        if (prev == kNoVersion) {
-          return MakeReadyFuture(Status::Internal(
-              "missing previous leaf for partial page at " +
-              block.ToString()));
-        }
-        if (prev > op->ticket.published) {
-          // The previous leaf is still unpublished: link to it blindly
-          // (chain length unknown; a later write compacts).
-          op->AddNode(block,
-                      MetaNode::Leaf({w->frag}, prev, meta::kUnknownChainLen));
+  // A partial page is an edge block, so the plan resolved its label.
+  auto it = op->border_map.find(block);
+  Version prev = it == op->border_map.end() ? kNoVersion : it->second;
+  if (prev == kNoVersion) {
+    return MakeReadyFuture(Status::Internal(
+        "missing previous leaf for partial page at " + block.ToString()));
+  }
+  if (prev > ticket.published) {
+    // The previous leaf is still unpublished: link to it blindly (chain
+    // length unknown; a later write compacts).
+    op->AddNode(block, MetaNode::Leaf({w->frag}, prev, meta::kUnknownChainLen));
+    return MakeReadyFuture(Status::OK());
+  }
+  // The previous leaf is published, hence readable: learn its chain length
+  // and compact if the chain grew too long.
+  return meta_.GetNodeAsync(NodeKey{op->ancestry.Resolve(prev), prev, block})
+      .Then([this, op, w, block, cs_new, cs_old,
+             prev](Result<MetaNode> prev_leaf_r) -> Future<Unit> {
+        if (!prev_leaf_r.ok()) return MakeReadyFuture(prev_leaf_r.status());
+        MetaNode prev_leaf = std::move(prev_leaf_r).ValueUnsafe();
+        if (prev_leaf.chain_len != meta::kUnknownChainLen &&
+            prev_leaf.chain_len + 1 <= options_.max_chain) {
+          op->AddNode(block, MetaNode::Leaf({w->frag}, prev,
+                                            prev_leaf.chain_len + 1));
           return MakeReadyFuture(Status::OK());
         }
-        // The previous leaf is published, hence readable: learn its chain
-        // length and compact if the chain grew too long.
-        return meta_
-            .GetNodeAsync(NodeKey{op->ancestry.Resolve(prev), prev, block})
-            .Then([this, op, w, block, cs_new, cs_old,
-                   prev](Result<MetaNode> prev_leaf_r) -> Future<Unit> {
-              if (!prev_leaf_r.ok())
-                return MakeReadyFuture(prev_leaf_r.status());
-              MetaNode prev_leaf = std::move(prev_leaf_r).ValueUnsafe();
-              if (prev_leaf.chain_len != meta::kUnknownChainLen &&
-                  prev_leaf.chain_len + 1 <= options_.max_chain) {
-                op->AddNode(block, MetaNode::Leaf({w->frag}, prev,
-                                                  prev_leaf.chain_len + 1));
-                return MakeReadyFuture(Status::OK());
-              }
-              // Compaction: materialize the merged page so the chain
-              // resets. The merged buffer lives on the op.
-              auto buffer = std::make_shared<std::string>(cs_new, '\0');
-              auto one = std::make_shared<PageWriteBatch>(1);
-              {
-                std::lock_guard<std::mutex> lock(op->mu);
-                op->merged.push_back(buffer);
-                op->compacted.push_back(one);
-              }
-              Future<Unit> filled =
-                  cs_old == 0
-                      ? MakeReadyFuture(Status::OK())
-                      : ResolveLeafPiecesAsync(op->ancestry, block, prev_leaf,
-                                               {Interval{0, cs_old}})
-                            .Then([this, buffer](
-                                      Result<std::vector<FetchPiece>> pieces)
-                                      -> Future<Unit> {
-                              if (!pieces.ok())
-                                return MakeReadyFuture(pieces.status());
-                              std::vector<uint64_t> bases(pieces->size(), 0);
-                              return FetchPiecesIntoAsync(
-                                  std::move(*pieces), std::move(bases), 0,
-                                  buffer->data());
-                            });
-              return filled.Then([this, op, w, buffer, one,
-                                  block](Result<Unit> r) -> Future<Unit> {
-                if (!r.ok()) return MakeReadyFuture(r.status());
-                std::memcpy(buffer->data() + w->frag.page_off,
-                            w->bytes.data(), w->bytes.size());
-                one->pages[0].page_index = w->page_index;
-                one->pages[0].frag.page_off = 0;
-                one->pages[0].frag.len = static_cast<uint32_t>(buffer->size());
-                one->pages[0].frag.data_off = 0;
-                one->pages[0].bytes = Slice(*buffer);
-                return StorePagesAsync(one).Then(
-                    [this, op, one, block](Result<Unit> stored) -> Status {
-                      if (!stored.ok()) return stored.status();
-                      op->AddNode(block, MetaNode::Leaf({one->pages[0].frag},
-                                                        kNoVersion, 1));
-                      std::lock_guard<std::mutex> lock(stats_mu_);
-                      stats_.compactions++;
-                      return Status::OK();
-                    });
+        // Compaction: materialize the merged page so the chain resets. The
+        // merged buffer lives on the op.
+        auto buffer = std::make_shared<std::string>(cs_new, '\0');
+        auto one = std::make_shared<PageWriteBatch>(1);
+        {
+          std::lock_guard<std::mutex> lock(op->mu);
+          op->merged.push_back(buffer);
+          op->compacted.push_back(one);
+        }
+        Future<Unit> filled =
+            cs_old == 0
+                ? MakeReadyFuture(Status::OK())
+                : ResolveLeafPiecesAsync(op->ancestry, block, prev_leaf,
+                                         {Interval{0, cs_old}})
+                      .Then([this, buffer](
+                                Result<std::vector<FetchPiece>> pieces)
+                                -> Future<Unit> {
+                        if (!pieces.ok())
+                          return MakeReadyFuture(pieces.status());
+                        std::vector<uint64_t> bases(pieces->size(), 0);
+                        return FetchPiecesIntoAsync(std::move(*pieces),
+                                                    std::move(bases), 0,
+                                                    buffer->data());
+                      });
+        return filled.Then([this, op, w, buffer, one,
+                            block](Result<Unit> r) -> Future<Unit> {
+          if (!r.ok()) return MakeReadyFuture(r.status());
+          std::memcpy(buffer->data() + w->frag.page_off, w->bytes.data(),
+                      w->bytes.size());
+          one->pages[0].page_index = w->page_index;
+          one->pages[0].frag.page_off = 0;
+          one->pages[0].frag.len = static_cast<uint32_t>(buffer->size());
+          one->pages[0].frag.data_off = 0;
+          one->pages[0].bytes = Slice(*buffer);
+          return StorePagesAsync(one).Then(
+              [this, op, one, block](Result<Unit> stored) -> Status {
+                if (!stored.ok()) return stored.status();
+                op->AddNode(block, MetaNode::Leaf({one->pages[0].frag},
+                                                  kNoVersion, 1));
+                std::lock_guard<std::mutex> lock(stats_mu_);
+                stats_.compactions++;
+                return Status::OK();
               });
-            });
+        });
       });
 }
 
 Future<Unit> BlobClient::PlanMetaAsync(std::shared_ptr<UpdateOp> op) {
   op->ancestry = op->desc.Ancestry();
   op->self_origin = op->ancestry.Resolve(op->ticket.version);
-  op->border_map.clear();
-  for (const auto& b : op->ticket.borders) op->border_map[b.block] = b.version;
-  // Shared across this update's descents: a writer resolving several border
-  // blocks walks overlapping root-to-block paths.
-  op->memo = std::make_shared<meta::MetaClient::SharedNodeMemo>();
-
-  // --- Inner nodes (paper Algorithm 4, second loop): resolve the
-  // non-updated children of every new inner node, then assemble them. ---
+  const AssignTicket& ticket = op->ticket;
   const uint64_t psize = op->desc.psize;
-  const Extent range = op->ticket.range();
-  const Version vw = op->ticket.version;
-  struct InnerPlan {
-    Extent block;
-    Version left = kNoVersion;
-    Version right = kNoVersion;
-    int left_resolve = -1;  // index into `resolves`
-    int right_resolve = -1;
-  };
-  auto plans = std::make_shared<std::vector<InnerPlan>>();
-  std::vector<Future<Version>> resolves;
-  for (const Extent& block :
-       meta::UpdateNodeSet(range, op->ticket.new_size, psize)) {
-    if (meta::IsLeafBlock(block, psize)) continue;
-    InnerPlan plan;
-    plan.block = block;
-    Extent left = meta::LeftChildBlock(block);
-    Extent right = meta::RightChildBlock(block);
-    if (left.Intersects(range)) {
-      plan.left = vw;
-    } else {
-      plan.left_resolve = static_cast<int>(resolves.size());
-      resolves.push_back(ResolveBorderAsync(op, left));
-    }
-    if (right.Intersects(range)) {
-      plan.right = vw;
-    } else {
-      plan.right_resolve = static_cast<int>(resolves.size());
-      resolves.push_back(ResolveBorderAsync(op, right));
-    }
-    plans->push_back(plan);
+  const Extent range = ticket.range();
+
+  // Paper section 4.2: the version manager labelled the border blocks that
+  // in-flight updates own; one walk of the published tree labels the rest.
+  op->border_map.clear();
+  for (const auto& b : ticket.borders) op->border_map[b.block] = b.version;
+  std::vector<Extent> pending;
+  for (const Extent& b :
+       meta::BorderBlocks(range, ticket.old_size, ticket.new_size, psize)) {
+    if (!op->border_map.count(b)) pending.push_back(b);
   }
-  return WhenAll(std::move(resolves))
-      .Then([op, plans](Result<std::vector<Result<Version>>> rs) -> Status {
-        if (!rs.ok()) return rs.status();
-        BS_RETURN_NOT_OK(FirstError(*rs));
-        for (const auto& plan : *plans) {
-          Version vl =
-              plan.left_resolve >= 0 ? *(*rs)[plan.left_resolve] : plan.left;
-          Version vr = plan.right_resolve >= 0 ? *(*rs)[plan.right_resolve]
-                                               : plan.right;
-          op->AddNode(plan.block, MetaNode::Inner(vl, vr));
+  return meta_
+      .ResolveBordersAsync(op->ancestry, ticket.published,
+                           ticket.published_size, psize, pending)
+      .Then([op, pending, psize,
+             range](Result<std::vector<Version>> labels) -> Status {
+        if (!labels.ok()) return labels.status();
+        for (size_t i = 0; i < pending.size(); i++)
+          op->border_map[pending[i]] = (*labels)[i];
+        // Inner nodes (paper Algorithm 4, second loop): a child inside the
+        // range is new in this version; any other child is a border block.
+        auto label = [&](const Extent& child) {
+          return child.Intersects(range) ? op->ticket.version
+                                         : op->border_map.at(child);
+        };
+        for (const Extent& block :
+             meta::UpdateNodeSet(range, op->ticket.new_size, psize)) {
+          if (meta::IsLeafBlock(block, psize)) continue;
+          op->AddNode(block,
+                      MetaNode::Inner(label(meta::LeftChildBlock(block)),
+                                      label(meta::RightChildBlock(block))));
         }
         return Status::OK();
       });

@@ -313,10 +313,12 @@ class BlobClient {
                                  Future<Unit> stored);
 
   /// Builds the new snapshot's tree (paper Algorithm 4) in three steps.
-  /// PlanMetaAsync needs only the ticket: it sets up the op's border
-  /// state, resolves the non-updated children of the new inner nodes and
-  /// assembles those nodes. BuildLeavesAsync needs the stored pages: it
-  /// builds every leaf in parallel (chain bookkeeping, compaction).
+  /// PlanMetaAsync needs only the ticket: it labels every border block
+  /// (the ticket's partial border set, then one walk of the published
+  /// tree for the rest) and assembles the new inner nodes.
+  /// BuildLeavesAsync needs the stored pages: it builds every leaf in
+  /// parallel (chain bookkeeping, compaction), taking an edge page's
+  /// previous label from the plan.
   /// ShipUpdateAsync sends all new nodes and the location entries of every
   /// page the update stored as one kDhtMultiPut per DHT node, then reports
   /// the pages to the provider manager's location table.
@@ -324,8 +326,6 @@ class BlobClient {
   Future<Unit> BuildLeavesAsync(std::shared_ptr<UpdateOp> op);
   Future<Unit> ShipUpdateAsync(std::shared_ptr<UpdateOp> op);
   Future<Unit> BuildLeafAsync(std::shared_ptr<UpdateOp> op, PageWrite* w);
-  Future<Version> ResolveBorderAsync(std::shared_ptr<UpdateOp> op,
-                                     const Extent& block);
 
   /// Chain-walk composition: which stored bytes satisfy `needed` (page-
   /// local intervals) for the page `block` whose newest leaf is `leaf`.

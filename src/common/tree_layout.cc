@@ -85,6 +85,14 @@ std::vector<Extent> EdgePageBlocks(const Extent& range, uint64_t old_size,
   return out;
 }
 
+std::vector<Extent> BorderBlocks(const Extent& range, uint64_t old_size,
+                                 uint64_t new_size, uint64_t psize) {
+  std::vector<Extent> out = UpdateBorderBlocks(range, new_size, psize);
+  for (const Extent& e : EdgePageBlocks(range, old_size, psize))
+    out.push_back(e);
+  return out;
+}
+
 uint32_t TreeDepth(uint64_t size, uint64_t psize) {
   return FloorLog2(RootSizeBytes(size, psize) / psize) + 1;
 }

@@ -70,6 +70,13 @@ std::vector<Extent> UpdateBorderBlocks(const Extent& range,
 std::vector<Extent> EdgePageBlocks(const Extent& range, uint64_t old_size,
                                    uint64_t psize);
 
+/// Every block whose version label an update must take from an earlier
+/// snapshot: UpdateBorderBlocks(range, new_size) followed by
+/// EdgePageBlocks(range, old_size). The blocks are pairwise disjoint; the
+/// edge blocks intersect the range and the border blocks do not.
+std::vector<Extent> BorderBlocks(const Extent& range, uint64_t old_size,
+                                 uint64_t new_size, uint64_t psize);
+
 /// Tree depth (number of levels) for a blob of `size` bytes: 1 for a single
 /// page, log2(root pages) + 1 otherwise.
 uint32_t TreeDepth(uint64_t size, uint64_t psize);

@@ -9,6 +9,7 @@
 
 namespace blobseer::meta {
 
+using blobseer::BorderBlocks;
 using blobseer::EdgePageBlocks;
 using blobseer::IsLeafBlock;
 using blobseer::IsLeftChild;

@@ -1,8 +1,22 @@
 #include "meta/meta_client.h"
 
+#include <array>
+#include <memory>
+
 #include "common/logging.h"
 
 namespace blobseer::meta {
+
+namespace {
+
+// The children of inner node `node` at `block`, with the labels it holds.
+std::array<std::pair<Extent, Version>, 2> Children(const Extent& block,
+                                                   const MetaNode& node) {
+  return {{{LeftChildBlock(block), node.left_version},
+           {RightChildBlock(block), node.right_version}}};
+}
+
+}  // namespace
 
 MetaClient::MetaClient(dht::DhtClient* dht, MetaClientOptions options)
     : dht_(dht), options_(options) {}
@@ -66,23 +80,64 @@ Future<MetaNode> MetaClient::GetNodeAsync(const NodeKey& key) {
       });
 }
 
-Future<MetaNode> MetaClient::GetNodeMemoizedAsync(
-    const NodeKey& key, std::shared_ptr<SharedNodeMemo> memo) {
-  if (!memo) return GetNodeAsync(key);
-  {
-    std::lock_guard<std::mutex> lock(memo->mu);
-    auto it = memo->map.find(key);
-    if (it != memo->map.end())
-      return MakeReadyFuture<MetaNode>(MetaNode(it->second));
-  }
-  return GetNodeAsync(key).Then(
-      [memo, key](Result<MetaNode> node) -> Result<MetaNode> {
-        if (node.ok()) {
-          std::lock_guard<std::mutex> lock(memo->mu);
-          memo->map.emplace(key, *node);
-        }
-        return node;
-      });
+Future<Unit> MetaClient::WalkLevelsAsync(const BranchAncestry& ancestry,
+                                         uint64_t psize, WalkNode root,
+                                         VisitFn visit) {
+  // State is shared across the waves; each wave's continuation runs only
+  // after the previous one finished.
+  struct WalkOp {
+    MetaClient* mc;
+    BranchAncestry ancestry;
+    uint64_t psize;
+    VisitFn visit;
+    std::vector<WalkNode> level;
+    Promise<Unit> promise;
+
+    void Step(const std::shared_ptr<WalkOp>& self) {
+      if (level.empty()) {
+        promise.Set(Unit{});
+        return;
+      }
+      std::vector<Future<MetaNode>> fetches;
+      fetches.reserve(level.size());
+      for (const WalkNode& n : level) {
+        fetches.push_back(mc->GetNodeAsync(
+            NodeKey{ancestry.Resolve(n.version), n.version, n.block}));
+      }
+      WhenAll(std::move(fetches))
+          .OnReady(nullptr, [self](Result<std::vector<Result<MetaNode>>> all) {
+            Status st = all.ok() ? FirstError(*all) : all.status();
+            std::vector<WalkNode> next;
+            for (size_t i = 0; st.ok() && i < self->level.size(); i++) {
+              const WalkNode& at = self->level[i];
+              const MetaNode& node = *(*all)[i];
+              if (node.is_leaf() != IsLeafBlock(at.block, self->psize)) {
+                st = Status::Corruption(
+                    (node.is_leaf() ? "leaf node at inner block "
+                                    : "inner node at leaf block ") +
+                    at.block.ToString());
+              } else {
+                st = self->visit(at, node, &next);
+              }
+            }
+            if (!st.ok()) {
+              self->promise.Set(std::move(st));
+              return;
+            }
+            self->level = std::move(next);
+            self->Step(self);
+          });
+    }
+  };
+  auto op = std::make_shared<WalkOp>();
+  op->mc = this;
+  op->ancestry = ancestry;
+  op->psize = psize;
+  op->visit = std::move(visit);
+  op->level.push_back(root);
+  auto f = op->promise.GetFuture();
+  op->Step(op);
+  return f;
 }
 
 Future<std::vector<LeafRef>> MetaClient::ReadMetaAsync(
@@ -96,167 +151,83 @@ Future<std::vector<LeafRef>> MetaClient::ReadMetaAsync(
     return MakeReadyFuture<Out>(
         Status::OutOfRange("read beyond snapshot size"));
 
-  // Level-wise descent: fetch the whole frontier in one parallel wave, then
-  // expand it, until only leaves remain. State is shared across waves.
-  struct Frontier {
-    Extent block;
-    Version version;
-  };
-  struct WalkOp {
-    MetaClient* mc;
-    BranchAncestry ancestry;
-    uint64_t psize;
-    Extent range;
-    std::vector<Frontier> frontier;
-    Out leaves;
-    Promise<Out> promise;
-
-    void Step(const std::shared_ptr<WalkOp>& self) {
-      if (frontier.empty()) {
-        promise.Set(std::move(leaves));
-        return;
-      }
-      std::vector<Future<MetaNode>> fetches;
-      fetches.reserve(frontier.size());
-      for (const Frontier& f : frontier) {
-        fetches.push_back(mc->GetNodeAsync(
-            NodeKey{ancestry.Resolve(f.version), f.version, f.block}));
-      }
-      WhenAll(std::move(fetches))
-          .OnReady(nullptr, [self](Result<std::vector<Result<MetaNode>>> all) {
-            Status first = all.ok() ? FirstError(*all) : all.status();
-            if (!first.ok()) {
-              self->promise.Set(std::move(first));
-              return;
-            }
-            std::vector<Frontier> next;
-            for (size_t i = 0; i < self->frontier.size(); i++) {
-              const Frontier& f = self->frontier[i];
-              const MetaNode& node = *(*all)[i];
-              if (IsLeafBlock(f.block, self->psize)) {
-                if (!node.is_leaf()) {
-                  self->promise.Set(Status::Corruption(
-                      "inner node at leaf block " + f.block.ToString()));
-                  return;
-                }
-                self->leaves.push_back(LeafRef{f.block, f.version, node});
-                continue;
-              }
-              if (node.is_leaf()) {
-                self->promise.Set(Status::Corruption(
-                    "leaf node at inner block " + f.block.ToString()));
-                return;
-              }
-              Extent left = LeftChildBlock(f.block);
-              Extent right = RightChildBlock(f.block);
-              if (left.Intersects(self->range)) {
-                if (node.left_version == kNoVersion) {
-                  self->promise.Set(Status::Corruption(
-                      "hole in read range at " + left.ToString()));
-                  return;
-                }
-                next.push_back(Frontier{left, node.left_version});
-              }
-              if (right.Intersects(self->range)) {
-                if (node.right_version == kNoVersion) {
-                  self->promise.Set(Status::Corruption(
-                      "hole in read range at " + right.ToString()));
-                  return;
-                }
-                next.push_back(Frontier{right, node.right_version});
-              }
-            }
-            self->frontier = std::move(next);
-            self->Step(self);
-          });
-    }
-  };
-  auto op = std::make_shared<WalkOp>();
-  op->mc = this;
-  op->ancestry = ancestry;
-  op->psize = psize;
-  op->range = range;
-  op->frontier.push_back(
-      Frontier{Extent{0, RootSizeBytes(blob_size, psize)}, version});
-  auto f = op->promise.GetFuture();
-  op->Step(op);
-  return f;
+  auto leaves = std::make_shared<Out>();
+  WalkNode root{Extent{0, RootSizeBytes(blob_size, psize)}, version};
+  return WalkLevelsAsync(
+             ancestry, psize, root,
+             [leaves, range](const WalkNode& at, const MetaNode& node,
+                             std::vector<WalkNode>* next) -> Status {
+               if (node.is_leaf()) {
+                 leaves->push_back(LeafRef{at.block, at.version, node});
+                 return Status::OK();
+               }
+               for (const auto& [child, label] : Children(at.block, node)) {
+                 if (!child.Intersects(range)) continue;
+                 if (label == kNoVersion)
+                   return Status::Corruption("hole in read range at " +
+                                             child.ToString());
+                 next->push_back(WalkNode{child, label});
+               }
+               return Status::OK();
+             })
+      .Then([leaves](Result<Unit> r) -> Result<Out> {
+        if (!r.ok()) return r.status();
+        return std::move(*leaves);
+      });
 }
 
-Future<Version> MetaClient::ResolveBlockVersionAsync(
+Future<std::vector<Version>> MetaClient::ResolveBordersAsync(
     const BranchAncestry& ancestry, Version published,
-    uint64_t published_size, uint64_t psize, const Extent& block,
-    std::shared_ptr<SharedNodeMemo> memo) {
+    uint64_t published_size, uint64_t psize, std::vector<Extent> targets) {
+  using Out = std::vector<Version>;
+  auto labels = std::make_shared<Out>(targets.size(), kNoVersion);
   if (published == 0 || published_size == 0)
-    return MakeReadyFuture<Version>(Version{kNoVersion});
+    return MakeReadyFuture<Out>(std::move(*labels));
   Extent root{0, RootSizeBytes(published_size, psize)};
-  if (block == root) return MakeReadyFuture<Version>(Version{published});
-  if (block.offset >= root.size)
-    return MakeReadyFuture<Version>(Version{kNoVersion});
-  if (block.size >= root.size)
-    return MakeReadyFuture<Version>(Status::Internal(
-        "border block contains published root; must be supplied by the "
-        "version manager: " +
-        block.ToString()));
-
-  // Root-to-block descent, one async node fetch per level.
-  struct DescentOp {
-    MetaClient* mc;
-    BranchAncestry ancestry;
-    Extent block;
-    Extent cur;
-    Version cur_version;
-    std::shared_ptr<SharedNodeMemo> memo;
-    Promise<Version> promise;
-
-    void Step(const std::shared_ptr<DescentOp>& self) {
-      if (cur == block) {
-        promise.Set(Version{cur_version});
-        return;
-      }
-      NodeKey key{ancestry.Resolve(cur_version), cur_version, cur};
-      mc->GetNodeMemoizedAsync(key, memo)
-          .OnReady(nullptr, [self](Result<MetaNode> node) {
-            if (!node.ok()) {
-              self->promise.Set(node.status());
-              return;
-            }
-            if (node->is_leaf()) {
-              self->promise.Set(Status::Corruption(
-                  "unexpected leaf during descent at " +
-                  self->cur.ToString()));
-              return;
-            }
-            Extent left = LeftChildBlock(self->cur);
-            Version next_version;
-            Extent next;
-            if (left.Contains(self->block)) {
-              next = left;
-              next_version = node->left_version;
-            } else {
-              next = RightChildBlock(self->cur);
-              next_version = node->right_version;
-            }
-            if (next_version == kNoVersion) {
-              self->promise.Set(Version{kNoVersion});  // hole
-              return;
-            }
-            self->cur = next;
-            self->cur_version = next_version;
-            self->Step(self);
-          });
+  bool descend = false;
+  for (size_t i = 0; i < targets.size(); i++) {
+    const Extent& block = targets[i];
+    if (block == root) {
+      (*labels)[i] = published;
+    } else if (block.offset >= root.size) {
+      continue;  // beyond the published span: a hole
+    } else if (block.size >= root.size) {
+      return MakeReadyFuture<Out>(Status::Internal(
+          "border block contains published root; must be supplied by the "
+          "version manager: " +
+          block.ToString()));
+    } else {
+      descend = true;
     }
-  };
-  auto op = std::make_shared<DescentOp>();
-  op->mc = this;
-  op->ancestry = ancestry;
-  op->block = block;
-  op->cur = root;
-  op->cur_version = published;
-  op->memo = std::move(memo);
-  auto f = op->promise.GetFuture();
-  op->Step(op);
-  return f;
+  }
+  if (!descend) return MakeReadyFuture<Out>(std::move(*labels));
+
+  // Targets strictly inside the root take their labels from their parents.
+  // A child is fetched only if it strictly contains a target; a hole there
+  // leaves the targets under it at kNoVersion.
+  auto blocks = std::make_shared<const std::vector<Extent>>(std::move(targets));
+  return WalkLevelsAsync(
+             ancestry, psize, WalkNode{root, published},
+             [labels, blocks](const WalkNode& at, const MetaNode& node,
+                              std::vector<WalkNode>* next) -> Status {
+               for (const auto& [child, label] : Children(at.block, node)) {
+                 bool contains_target = false;
+                 for (size_t i = 0; i < blocks->size(); i++) {
+                   const Extent& block = (*blocks)[i];
+                   if (block == child)
+                     (*labels)[i] = label;
+                   else if (child.Contains(block))
+                     contains_target = true;
+                 }
+                 if (contains_target && label != kNoVersion)
+                   next->push_back(WalkNode{child, label});
+               }
+               return Status::OK();
+             })
+      .Then([labels](Result<Unit> r) -> Result<Out> {
+        if (!r.ok()) return r.status();
+        return std::move(*labels);
+      });
 }
 
 void MetaClient::InvalidateCache() {

@@ -80,11 +80,7 @@ std::vector<BorderEntry> VersionManagerCore::ComputeBordersLocked(
     BlobMeta* blob, Version vw, const Extent& range, uint64_t old_size,
     uint64_t new_size) {
   std::vector<Extent> targets =
-      UpdateBorderBlocks(range, new_size, blob->psize);
-  for (const Extent& e :
-       EdgePageBlocks(range, old_size, blob->psize)) {
-    targets.push_back(e);
-  }
+      BorderBlocks(range, old_size, new_size, blob->psize);
   std::vector<BorderEntry> out;
   if (targets.empty()) return out;
 
@@ -101,8 +97,7 @@ std::vector<BorderEntry> VersionManagerCore::ComputeBordersLocked(
               rend = std::make_reverse_iterator(lo);
          it != rend; ++it) {
       const UpdateRecord& rec = it->second;
-      if (NodeSetContains(block, rec.range, rec.size_after,
-                                blob->psize)) {
+      if (NodeSetContains(block, rec.range, rec.size_after, blob->psize)) {
         found = it->first;
         break;
       }

@@ -6,6 +6,7 @@
 
 #include "core/cluster.h"
 #include "dht/messages.h"
+#include "meta/layout.h"
 #include "recording_transport.h"
 #include "reference_blob.h"
 
@@ -363,6 +364,71 @@ TEST_F(ClientBasicTest, AppendEndsWithOneDhtWave) {
   std::string out;
   ASSERT_TRUE(writer.Read(*id, 2, base.size(), tail.size(), &out).ok());
   EXPECT_EQ(out, tail);
+}
+
+// A fresh client's page-aligned 1-page WRITE into a 1024-page blob labels
+// its border blocks in one walk of the published tree (paper section 4.2):
+// one DHT get per inner level on the update's path, so at most tree depth
+// - 1 = 10, all before the update's DHT wave. A 1-byte unaligned WRITE into
+// the same page labels its edge page in that walk too, and adds one get
+// for the previous leaf's chain length. The cluster runs over TCP so that
+// DHT calls complete asynchronously, as they do in a deployment: in-process
+// calls complete inline, which would hide fetches issued concurrently.
+TEST_F(ClientBasicTest, ColdWriteWalksThePublishedTreeOnce) {
+  core::ClusterOptions opts;
+  opts.num_providers = 3;
+  opts.num_meta = 4;
+  opts.transport = "tcp";
+  auto cluster = core::EmbeddedCluster::Start(opts);
+  ASSERT_TRUE(cluster.ok()) << cluster.status().ToString();
+  auto writer = (*cluster)->NewClient();
+  ASSERT_TRUE(writer.ok());
+  constexpr uint64_t kPsize = 64;
+  constexpr uint64_t kPages = 1024;
+  auto id = (*writer)->Create(kPsize);
+  ASSERT_TRUE(id.ok());
+  std::string base = TestPayload(0, kPages * kPsize);
+  ASSERT_TRUE((*writer)->Append(*id, Slice(base)).ok());
+  ASSERT_EQ(meta::TreeDepth(base.size(), kPsize), 11u);
+
+  // Each write runs on its own fresh client, so no tree node is cached.
+  auto cold_write = [&](const std::string& data, uint64_t offset,
+                        size_t max_gets) {
+    testing::RecordingTransport rec((*cluster)->transport());
+    BlobClient fresh(&rec, (*cluster)->vmanager_address(),
+                     (*cluster)->pmanager_address(),
+                     (*cluster)->dht_addresses());
+    ASSERT_TRUE(fresh.Write(*id, Slice(data), offset).ok());
+    size_t gets = 0;
+    uint64_t last_get = 0, first_wave = UINT64_MAX;
+    for (const auto& call : rec.calls()) {
+      if (call.method == rpc::Method::kDhtGet) {
+        gets++;
+        last_get = std::max(last_get, call.finished);
+      }
+      if (call.method == rpc::Method::kDhtMultiPut)
+        first_wave = std::min(first_wave, call.started);
+    }
+    EXPECT_GT(gets, 0u);
+    EXPECT_LE(gets, max_gets) << "offset " << offset;
+    EXPECT_LT(last_get, first_wave);
+  };
+  const uint64_t page_offset = (kPages / 2 + 3) * kPsize;
+  std::string one_page = TestPayload(1, kPsize);
+  cold_write(one_page, page_offset, 10);
+  std::string one_byte = "x";
+  cold_write(one_byte, page_offset + 5, 11);
+
+  ReferenceBlob ref;
+  ref.ApplyAppend(base);
+  ref.ApplyWrite(one_page, page_offset);
+  ref.ApplyWrite(one_byte, page_offset + 5);
+  ASSERT_TRUE((*writer)->Sync(*id, ref.latest()).ok());
+  for (Version v = 2; v <= ref.latest(); v++) {
+    std::string out;
+    ASSERT_TRUE((*writer)->Read(*id, v, 0, ref.Size(v), &out).ok());
+    EXPECT_EQ(out, ref.Contents(v)) << "v" << v;
+  }
 }
 
 }  // namespace

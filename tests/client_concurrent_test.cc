@@ -91,49 +91,66 @@ TEST_F(ConcurrentTest, ConcurrentAppendersProduceASerialHistory) {
 }
 
 TEST_F(ConcurrentTest, ConcurrentOverlappingWritesStayAtomic) {
-  auto owner = NewClient();
-  auto id = owner->Create(64);
-  ASSERT_TRUE(id.ok());
-  // Pre-size the blob so all writers hit a valid range.
-  Blob blob(owner.get(), *id);
-  ASSERT_TRUE(blob.AppendSync(TestPayload(0, 1024)).ok());
+  // Two writer mixes: writes only, and writes beside appends. In-flight
+  // appends grow the root while unaligned writes label their borders, so
+  // one update's labels come partly from the version manager's partial
+  // border set and partly from the walk of the published tree.
+  for (bool with_appends : {false, true}) {
+    SCOPED_TRACE(with_appends ? "writes and appends" : "writes only");
+    auto owner = NewClient();
+    auto id = owner->Create(64);
+    ASSERT_TRUE(id.ok());
+    // Pre-size the blob so all writers hit a valid range.
+    Blob blob(owner.get(), *id);
+    ASSERT_TRUE(blob.AppendSync(TestPayload(0, 1024)).ok());
 
-  constexpr int kWriters = 6;
-  constexpr int kWritesEach = 10;
-  std::mutex mu;
-  std::map<Version, std::pair<uint64_t, std::string>> by_version;
+    constexpr int kWriters = 6;
+    constexpr int kWritesEach = 10;
+    struct Update {
+      bool append;
+      uint64_t offset;
+      std::string data;
+    };
+    std::mutex mu;
+    std::map<Version, Update> by_version;
 
-  std::vector<std::thread> threads;
-  for (int w = 0; w < kWriters; w++) {
-    threads.emplace_back([&, w] {
-      auto client = NewClient();
-      for (int i = 0; i < kWritesEach; i++) {
-        // Overlapping unaligned ranges across writers.
-        uint64_t off = (w * 131 + i * 61) % 900;
-        std::string data = TestPayload(w * 100 + i, 40 + (i * 17) % 80);
-        auto v = client->Write(*id, Slice(data), off);
-        ASSERT_TRUE(v.ok()) << v.status().ToString();
-        std::lock_guard<std::mutex> lock(mu);
-        by_version.emplace(*v, std::make_pair(off, data));
-      }
-    });
-  }
-  for (auto& t : threads) t.join();
+    std::vector<std::thread> threads;
+    for (int w = 0; w < kWriters; w++) {
+      threads.emplace_back([&, w] {
+        auto client = NewClient();
+        for (int i = 0; i < kWritesEach; i++) {
+          // Overlapping unaligned ranges across writers; every third op
+          // of the odd writers appends in the mixed history.
+          const bool append = with_appends && w % 2 == 1 && i % 3 == 0;
+          uint64_t off = (w * 131 + i * 61) % 900;
+          std::string data = TestPayload(w * 100 + i, 40 + (i * 17) % 80);
+          auto v = append ? client->Append(*id, Slice(data))
+                          : client->Write(*id, Slice(data), off);
+          ASSERT_TRUE(v.ok()) << v.status().ToString();
+          std::lock_guard<std::mutex> lock(mu);
+          by_version.emplace(*v, Update{append, off, data});
+        }
+      });
+    }
+    for (auto& t : threads) t.join();
 
-  Version last = by_version.rbegin()->first;
-  ASSERT_TRUE(owner->Sync(*id, last).ok());
+    Version last = by_version.rbegin()->first;
+    ASSERT_TRUE(owner->Sync(*id, last).ok());
 
-  ReferenceBlob ref;
-  ref.ApplyAppend(TestPayload(0, 1024));
-  for (auto& [v, op] : by_version) {
-    ASSERT_EQ(ref.ApplyWrite(op.second, op.first), v);
-  }
-  // Every intermediate snapshot equals the serial replay: updates applied
-  // atomically, in version order, with no lost or interleaved bytes.
-  for (Version v = 1; v <= ref.latest(); v++) {
-    std::string out;
-    ASSERT_TRUE(owner->Read(*id, v, 0, ref.Size(v), &out).ok()) << "v" << v;
-    ASSERT_EQ(out, ref.Contents(v)) << "v" << v;
+    ReferenceBlob ref;
+    ref.ApplyAppend(TestPayload(0, 1024));
+    for (auto& [v, op] : by_version) {
+      ASSERT_EQ(op.append ? ref.ApplyAppend(op.data)
+                          : ref.ApplyWrite(op.data, op.offset),
+                v);
+    }
+    // Every intermediate snapshot equals the serial replay: updates applied
+    // atomically, in version order, with no lost or interleaved bytes.
+    for (Version v = 1; v <= ref.latest(); v++) {
+      std::string out;
+      ASSERT_TRUE(owner->Read(*id, v, 0, ref.Size(v), &out).ok()) << "v" << v;
+      ASSERT_EQ(out, ref.Contents(v)) << "v" << v;
+    }
   }
 }
 

@@ -1,7 +1,7 @@
 // MetaClient unit tests: node round trips, the immutable-node cache,
-// tree walks over hand-built trees, border descent edge cases, and the
-// per-operation memo. Every call goes through the async methods BlobClient
-// runs, waited on from the test thread.
+// tree walks over hand-built trees, border resolution edge cases, and the
+// fetch count of one border walk. Every call goes through the async methods
+// BlobClient runs, waited on from the test thread.
 #include <gtest/gtest.h>
 
 #include "dht/client.h"
@@ -41,14 +41,16 @@ class MetaClientTest : public ::testing::Test {
     return Status::OK();
   }
 
-  // Border descent without a memo; every tree here has psize 1.
+  // Resolves one border block; every tree here has psize 1.
   static Result<Version> Resolve(MetaClient* mc, const BranchAncestry& anc,
                                  Version published, uint64_t size,
                                  const Extent& block) {
-    return mc
-        ->ResolveBlockVersionAsync(anc, published, size, /*psize=*/1, block,
-                                   nullptr)
-        .Wait();
+    auto labels =
+        mc->ResolveBordersAsync(anc, published, size, /*psize=*/1, {block})
+            .Wait();
+    if (!labels.ok()) return labels.status();
+    EXPECT_EQ(labels->size(), 1u);
+    return labels->at(0);
   }
 
   // Writes the 4-page tree of paper Figure 1(a): version 1, psize 1.
@@ -132,7 +134,7 @@ TEST_F(MetaClientTest, ReadMetaCollectsExactlyTheIntersectingLeaves) {
   WriteFigure1aTree(&mc);
   BranchAncestry anc({{1, kMaxVersion}});
   auto leaves = mc.ReadMetaAsync(anc, 1, 4, 1, Extent{1, 2}).Wait();
-  ASSERT_TRUE(leaves.ok());
+  ASSERT_TRUE(leaves.ok()) << leaves.status().ToString();
   ASSERT_EQ(leaves->size(), 2u);
   EXPECT_EQ((*leaves)[0].block.offset + (*leaves)[1].block.offset, 1u + 2u);
   // Full range.
@@ -175,7 +177,7 @@ TEST_F(MetaClientTest, ReadMetaDetectsHolesAndTypeMismatches) {
                   .IsCorruption());
 }
 
-TEST_F(MetaClientTest, ResolveBlockVersionWalksToTheLabel) {
+TEST_F(MetaClientTest, ResolveBordersWalksToTheLabel) {
   MetaClient mc = NewClient();
   // Figure 1(b): version 2 overwrote pages 1-2 of the 4-page version 1.
   WriteFigure1aTree(&mc);
@@ -197,7 +199,7 @@ TEST_F(MetaClientTest, ResolveBlockVersionWalksToTheLabel) {
   EXPECT_EQ(*mid, 2u);
 }
 
-TEST_F(MetaClientTest, ResolveBlockVersionEdgeCases) {
+TEST_F(MetaClientTest, ResolveBordersEdgeCases) {
   MetaClient mc = NewClient();
   WriteFigure1aTree(&mc);
   BranchAncestry anc({{1, kMaxVersion}});
@@ -214,25 +216,22 @@ TEST_F(MetaClientTest, ResolveBlockVersionEdgeCases) {
   EXPECT_TRUE(Resolve(&mc, anc, 1, 4, Extent{0, 8}).status().IsInternal());
 }
 
-TEST_F(MetaClientTest, MemoAvoidsRepeatFetchesWithinOneOperation) {
+TEST_F(MetaClientTest, OneWalkFetchesEachPathNodeOnce) {
   MetaClient mc = NewClient(/*cache=*/false);
   WriteFigure1aTree(&mc);
   BranchAncestry anc({{1, kMaxVersion}});
   auto gets_before = dht_->TotalStatsAsync().Wait();
   ASSERT_TRUE(gets_before.ok());
 
-  auto memo = std::make_shared<MetaClient::SharedNodeMemo>();
-  // Resolving all four leaves shares the root and mid-level fetches.
-  for (uint64_t p = 0; p < 4; p++) {
-    auto v =
-        mc.ResolveBlockVersionAsync(anc, 1, 4, 1, Extent{p, 1}, memo).Wait();
-    ASSERT_TRUE(v.ok());
-    EXPECT_EQ(*v, 1u);
-  }
+  // One call resolves all four leaves: the targets share the root and
+  // mid-level nodes, and no node is fetched twice.
+  auto labels = mc.ResolveBordersAsync(anc, 1, 4, 1,
+                                       {{0, 1}, {1, 1}, {2, 1}, {3, 1}})
+                    .Wait();
+  ASSERT_TRUE(labels.ok());
+  EXPECT_EQ(*labels, (std::vector<Version>{1, 1, 1, 1}));
   // Distinct nodes on the 4 paths: root + 2 mid nodes = 3 fetches (leaf
-  // labels come from the parents). The memo holds exactly those, and the
-  // DHT served exactly those.
-  EXPECT_EQ(memo->map.size(), 3u);
+  // labels come from the parents), and the DHT served exactly those.
   auto gets_after = dht_->TotalStatsAsync().Wait();
   ASSERT_TRUE(gets_after.ok());
   EXPECT_EQ(gets_after->gets - gets_before->gets, 3u);

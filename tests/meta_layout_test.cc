@@ -2,6 +2,7 @@
 // correctness core of the paper's metadata scheme (section 4).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <set>
 
 #include "common/math_util.h"
@@ -119,6 +120,28 @@ TEST(LayoutTest, EdgePageBlocks) {
 
 // ---- Exhaustive small-universe properties --------------------------------
 
+// The facts the border walk relies on: BorderBlocks is the border blocks
+// followed by the edge pages, all valid and pairwise disjoint; every edge
+// page intersects the range and no border block does.
+void ExpectBorderBlockFacts(const Extent& range, uint64_t old_size,
+                            uint64_t new_size, uint64_t psize) {
+  auto borders = UpdateBorderBlocks(range, new_size, psize);
+  auto edges = EdgePageBlocks(range, old_size, psize);
+  auto all = BorderBlocks(range, old_size, new_size, psize);
+  ASSERT_EQ(all.size(), borders.size() + edges.size());
+  for (size_t i = 0; i < all.size(); i++) {
+    const bool edge = i >= borders.size();
+    EXPECT_EQ(all[i], edge ? edges[i - borders.size()] : borders[i]);
+    EXPECT_TRUE(IsValidBlock(all[i], psize));
+    EXPECT_EQ(all[i].Intersects(range), edge)
+        << all[i].ToString() << " range " << range.ToString();
+    for (size_t j = i + 1; j < all.size(); j++) {
+      EXPECT_FALSE(all[i].Intersects(all[j]))
+          << all[i].ToString() << " and " << all[j].ToString();
+    }
+  }
+}
+
 class LayoutPropertyTest : public ::testing::TestWithParam<uint64_t> {};
 
 TEST_P(LayoutPropertyTest, NodeSetIsExactlyIntersectingBlocks) {
@@ -180,22 +203,27 @@ TEST_P(LayoutPropertyTest, BordersAreDisjointFromRangeAndCoverSiblings) {
     uint64_t total = total_pages * psize;
     for (uint64_t off = 0; off < total; off += psize) {
       for (uint64_t sz = psize; off + sz <= total; sz += psize) {
-        Extent range{off, sz};
-        auto set = UpdateNodeSet(range, total, psize);
-        std::set<Extent> in_set(set.begin(), set.end());
-        auto borders = UpdateBorderBlocks(range, total, psize);
-        std::set<Extent> border_set(borders.begin(), borders.end());
-        for (const Extent& b : borders) {
-          EXPECT_FALSE(b.Intersects(range));
-          EXPECT_FALSE(in_set.count(b));
-        }
-        // Every inner node's children are either in the set or borders.
-        for (const Extent& b : set) {
-          if (IsLeafBlock(b, psize)) continue;
-          for (Extent child : {LeftChildBlock(b), RightChildBlock(b)}) {
-            EXPECT_TRUE(in_set.count(child) + border_set.count(child) == 1)
-                << "child " << child.ToString() << " of " << b.ToString();
+        // Trimming a quarter page off each end makes both edges partial
+        // pages inside the old blob.
+        for (uint64_t trim : {uint64_t{0}, psize / 4}) {
+          Extent range{off + trim, sz - 2 * trim};
+          auto set = UpdateNodeSet(range, total, psize);
+          std::set<Extent> in_set(set.begin(), set.end());
+          auto borders = UpdateBorderBlocks(range, total, psize);
+          std::set<Extent> border_set(borders.begin(), borders.end());
+          for (const Extent& b : borders) {
+            EXPECT_FALSE(b.Intersects(range));
+            EXPECT_FALSE(in_set.count(b));
           }
+          // Every inner node's children are either in the set or borders.
+          for (const Extent& b : set) {
+            if (IsLeafBlock(b, psize)) continue;
+            for (Extent child : {LeftChildBlock(b), RightChildBlock(b)}) {
+              EXPECT_TRUE(in_set.count(child) + border_set.count(child) == 1)
+                  << "child " << child.ToString() << " of " << b.ToString();
+            }
+          }
+          ExpectBorderBlockFacts(range, total, total, psize);
         }
       }
     }
@@ -227,6 +255,11 @@ TEST(LayoutRandomTest, UnalignedRangesProduceConsistentSets) {
     uint64_t first = off / psize;
     uint64_t last = (off + sz - 1) / psize;
     ASSERT_EQ(leaves, last - first + 1);
+    // The update starts inside or at the end of the old blob: an append
+    // (old size == offset), a write that grows it, or one inside it.
+    uint64_t old_size = off + (total - off) * (iter % 3) / 2;
+    ExpectBorderBlockFacts(range, old_size, std::max(old_size, range.end()),
+                           psize);
   }
 }
 
