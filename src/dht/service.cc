@@ -67,4 +67,18 @@ Status DhtService::Handle(rpc::Method method, Slice payload,
   }
 }
 
+bool DhtService::Blocks(rpc::Method method) const {
+  switch (method) {
+    case rpc::Method::kDhtPut:
+    case rpc::Method::kDhtMultiPut:
+    case rpc::Method::kDhtGet:
+    case rpc::Method::kDhtDelete:
+    case rpc::Method::kDhtCas:
+    case rpc::Method::kDhtMultiGet:
+      return false;
+    default:
+      return true;
+  }
+}
+
 }  // namespace blobseer::dht

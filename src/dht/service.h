@@ -16,6 +16,8 @@ class DhtService : public rpc::ServiceHandler {
 
   Status Handle(rpc::Method method, Slice payload,
                 std::string* response) override;
+  /// False for the key-value methods: they only touch the in-memory store.
+  bool Blocks(rpc::Method method) const override;
 
   KvStore& store() { return store_; }
   const KvStore& store() const { return store_; }

@@ -157,6 +157,19 @@ bool ProviderManagerService::StopGcSweeper() {
   return drained;
 }
 
+bool ProviderManagerService::Blocks(rpc::Method method) const {
+  switch (method) {
+    case rpc::Method::kPmRegister:
+    case rpc::Method::kPmHeartbeat:
+    case rpc::Method::kPmAllocate:
+    case rpc::Method::kPmDirectory:
+    case rpc::Method::kPmReportLocations:
+      return false;
+    default:
+      return true;
+  }
+}
+
 Status ProviderManagerService::Handle(rpc::Method method, Slice payload,
                                       std::string* response) {
   using rpc::DispatchTyped;

@@ -43,6 +43,10 @@ class ProviderManagerService : public rpc::ServiceHandler {
 
   Status Handle(rpc::Method method, Slice payload,
                 std::string* response) override;
+  /// False for registration, heartbeats, allocation, the directory and
+  /// location reports: each holds a registry or table lock briefly. Stats
+  /// and Decommission scan the location table and stay on the pool.
+  bool Blocks(rpc::Method method) const override;
 
   /// Snapshot of the registry with liveness freshly derived from heartbeat
   /// ages (for tests and tools).

@@ -140,6 +140,10 @@ uint64_t ProviderService::compaction_passes() const {
   return loop_ ? loop_->passes.load(std::memory_order_relaxed) : 0;
 }
 
+bool ProviderService::Blocks(rpc::Method method) const {
+  return method != rpc::Method::kProviderRead;
+}
+
 Status ProviderService::Handle(rpc::Method method, Slice payload,
                                std::string* response) {
   using rpc::DispatchTyped;

@@ -43,6 +43,10 @@ class ProviderService : public rpc::ServiceHandler {
 
   Status Handle(rpc::Method method, Slice payload,
                 std::string* response) override;
+  /// False only for Read: Write and Delete wait on the store's group-commit
+  /// sync. A read takes the store lock briefly, so it waits behind a
+  /// segment rotation's sync under that lock.
+  bool Blocks(rpc::Method method) const override;
 
   PageStore& store() { return *store_; }
 

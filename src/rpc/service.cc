@@ -36,4 +36,9 @@ void CompositeHandler::HandleAsync(Method method, Slice payload,
   target->HandleAsync(method, payload, std::move(done));
 }
 
+bool CompositeHandler::Blocks(Method method) const {
+  ServiceHandler* target = RouteFor(method);
+  return target == nullptr || target->Blocks(method);
+}
+
 }  // namespace blobseer::rpc

@@ -21,6 +21,8 @@ class CompositeHandler : public ServiceHandler {
 
   Status Handle(Method method, Slice payload, std::string* response) override;
   void HandleAsync(Method method, Slice payload, HandlerDone done) override;
+  /// The routed handler's answer; true for a method no service owns.
+  bool Blocks(Method method) const override;
 
  private:
   /// nullptr when no service owns the method's block.

@@ -1,9 +1,11 @@
 // TCP socket transport: length-prefixed, correlation-id-tagged frames served
-// by one epoll reactor thread per listening endpoint. The reactor never runs
-// application code — requests are handed to a shared dispatch pool and the
-// encoded responses are written back in completion order, so a held call
-// (e.g. a parked AwaitPublished subscription) blocks neither its connection
-// nor a server thread.
+// by one epoll reactor thread per listening endpoint. The reactor runs a
+// request's handler itself when the handler says the method never waits
+// (ServiceHandler::Blocks returns false) and hands every other request to a
+// shared dispatch pool. Encoded responses are written back in completion
+// order, so a held call (e.g. a parked AwaitPublished subscription) blocks
+// neither its connection nor a server thread. The price: while an inline
+// handler runs, its endpoint serves no other connection.
 #ifndef BLOBSEER_RPC_TCP_H_
 #define BLOBSEER_RPC_TCP_H_
 
@@ -32,7 +34,8 @@ class TcpTransport : public Transport {
   Result<std::shared_ptr<Channel>> Connect(const std::string& address) override;
 
  private:
-  /// Handler-dispatch workers shared by every server on this transport.
+  /// Workers for the methods that may wait, shared by every server on this
+  /// transport.
   static constexpr size_t kDispatchThreads = 16;
 
   std::mutex mu_;

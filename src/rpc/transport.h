@@ -20,10 +20,19 @@ namespace blobseer::rpc {
 using HandlerDone = std::function<void(Status, std::string)>;
 
 /// Server-side request handler. Implementations must be thread-safe: the
-/// TCP transport invokes handlers concurrently from its dispatch workers.
+/// TCP transport invokes handlers concurrently from its dispatch workers and
+/// from its reactor threads (see Blocks).
 class ServiceHandler {
  public:
   virtual ~ServiceHandler() = default;
+
+  /// False when `method` never waits: its HandleAsync waits on no future,
+  /// issues no RPC and takes only locks that others hold briefly. The
+  /// TCP transport runs such requests inline on the reactor thread that
+  /// parsed them and keeps its dispatch pool for the methods that may wait,
+  /// so a handler that returns false wrongly stalls every connection of its
+  /// endpoint. Other transports ignore it.
+  virtual bool Blocks(Method) const { return true; }
 
   /// Handles one request; on success fills `*response` with the encoded
   /// response payload. A non-OK status is propagated to the caller verbatim.

@@ -138,6 +138,22 @@ Status VersionManagerService::Handle(rpc::Method method, Slice payload,
   }
 }
 
+bool VersionManagerService::Blocks(rpc::Method method) const {
+  switch (method) {
+    case rpc::Method::kVmGetSize:
+    case rpc::Method::kVmGetRecent:
+    case rpc::Method::kVmOpenBlob:
+    case rpc::Method::kVmAssignVersion:
+    case rpc::Method::kVmNotifySuccess:
+    case rpc::Method::kVmAbortUpdate:
+      return false;
+    case rpc::Method::kVmAwaitPublished:
+      return timer_executor_ == nullptr;
+    default:
+      return true;
+  }
+}
+
 void VersionManagerService::HandleAsync(rpc::Method method, Slice payload,
                                         rpc::HandlerDone done) {
   if (method != rpc::Method::kVmAwaitPublished) {

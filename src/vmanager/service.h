@@ -37,6 +37,11 @@ class VersionManagerService : public rpc::ServiceHandler {
   void HandleAsync(rpc::Method method, Slice payload,
                    rpc::HandlerDone done) override;
 
+  /// False for the hot in-memory methods, and for AwaitPublished when a
+  /// timer executor lets every await park instead of waiting. Table scans
+  /// (ListBlobs, ListVersions), Stats and the rest stay on the pool.
+  bool Blocks(rpc::Method method) const override;
+
   VersionManagerCore& core() { return *core_; }
 
  private:

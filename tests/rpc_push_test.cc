@@ -1,7 +1,8 @@
 // Server-push publication events and the event-driven TCP front door:
 // pipelined requests complete behind a held AwaitPublished (no head-of-line
 // blocking), parked subscriptions resolve at publish / drain at timeout /
-// survive client disconnect, connection churn leaves the server thread
+// survive client disconnect, a publish on one connection releases an await
+// parked on another, connection churn leaves the server thread
 // count flat, ChannelPool connects outside its lock, and under simnet a
 // SYNC resolves within ~1 RTT of the publish in virtual time.
 #include <gtest/gtest.h>
@@ -62,9 +63,9 @@ size_t CountThreads() {
 
 // The tentpole regression: with the old one-thread-per-connection FIFO
 // server, a held AwaitPublished stalled every request pipelined behind it
-// on the same connection for the full hold. The reactor dispatches each
-// frame to a worker and writes responses in completion order, so the
-// pipelined calls finish in milliseconds while the hold stays parked.
+// on the same connection for the full hold. The reactor answers GetRecent
+// inline and writes responses in completion order, so the pipelined calls
+// finish in milliseconds while the hold stays parked.
 TEST(RpcPushTcp, PipelinedRequestsCompleteBehindHeldAwait) {
   ThreadPoolExecutor timers(2);  // outlives the service: hosts watchdogs
   rpc::TcpTransport transport;
@@ -99,6 +100,38 @@ TEST(RpcPushTcp, PipelinedRequestsCompleteBehindHeldAwait) {
   EXPECT_TRUE(released.ok()) << released.status().ToString();
   EXPECT_LT(ElapsedMs(t1), 5000.0);  // pushed, not timed out at 10 s
   EXPECT_TRUE(WaitFor([&] { return svc->core().waiter_count() == 0; }));
+}
+
+// NotifySuccess runs inline on the reactor, so the AwaitPublished it
+// releases completes there too, for another connection than the one just
+// parsed. The reactor must flush every queued response after each epoll
+// batch: flushing only the parsed connection leaves the await's response
+// queued until unrelated traffic wakes the reactor, here never.
+TEST(RpcPushTcp, PublishOnAnotherConnectionReleasesHeldAwait) {
+  ThreadPoolExecutor timers(2);  // outlives the service: hosts watchdogs
+  rpc::TcpTransport transport;
+  auto svc = std::make_shared<vmanager::VersionManagerService>(nullptr,
+                                                               &timers);
+  auto bound = transport.Serve("127.0.0.1:0", svc);
+  ASSERT_TRUE(bound.ok()) << bound.status().ToString();
+  vmanager::VersionManagerClient a(&transport, *bound, /*channels=*/1);
+  vmanager::VersionManagerClient b(&transport, *bound, /*channels=*/1);
+
+  auto desc = b.CreateBlobAsync(64).Wait();
+  ASSERT_TRUE(desc.ok()) << desc.status().ToString();
+  ASSERT_TRUE(b.AssignVersionAsync(desc->id, true, 0, 8).Wait().ok());
+
+  auto hold = a.AwaitPublishedAsync(desc->id, 1, UINT64_MAX);  // no timeout
+  ASSERT_TRUE(WaitFor([&] { return svc->core().waiter_count() == 1; }))
+      << "await never parked server-side";
+
+  ASSERT_TRUE(b.NotifySuccessAsync(desc->id, 1).Wait().ok());
+  EXPECT_TRUE(WaitFor([&] { return hold.Ready(); }, 5000))
+      << "the publish never reached the other connection's await";
+  if (hold.Ready()) {
+    auto released = hold.Wait();
+    EXPECT_TRUE(released.ok()) << released.status().ToString();
+  }
 }
 
 // Satellite (a): connection churn must not accrete server threads. The

@@ -5,6 +5,7 @@
 #include <atomic>
 #include <condition_variable>
 #include <mutex>
+#include <set>
 #include <thread>
 
 #include "common/executor.h"
@@ -38,6 +39,49 @@ class EchoService : public ServiceHandler {
 
  private:
   std::atomic<int> calls_{0};
+};
+
+// Echoes like EchoService, but kDhtDelete may wait: it parks on a latch
+// until Release(). kDhtPut never waits, so TCP answers it on the reactor.
+// Records the thread each method ran on.
+class LatchService : public ServiceHandler {
+ public:
+  Status Handle(Method method, Slice payload, std::string* response) override {
+    std::unique_lock<std::mutex> lock(mu_);
+    threads_[method].insert(std::this_thread::get_id());
+    if (method == Method::kDhtDelete) {
+      parked_ = true;
+      cv_.notify_all();
+      cv_.wait(lock, [&] { return released_; });
+    }
+    *response = payload.ToString();
+    return Status::OK();
+  }
+  bool Blocks(Method method) const override {
+    return method == Method::kDhtDelete;
+  }
+
+  bool WaitParked() {
+    std::unique_lock<std::mutex> lock(mu_);
+    return cv_.wait_for(lock, std::chrono::seconds(5),
+                        [&] { return parked_; });
+  }
+  void Release() {
+    std::lock_guard<std::mutex> lock(mu_);
+    released_ = true;
+    cv_.notify_all();
+  }
+  std::set<std::thread::id> ThreadsOf(Method method) {
+    std::lock_guard<std::mutex> lock(mu_);
+    return threads_[method];
+  }
+
+ private:
+  std::mutex mu_;
+  std::condition_variable cv_;
+  bool parked_ = false;
+  bool released_ = false;
+  std::map<Method, std::set<std::thread::id>> threads_;
 };
 
 class TransportTest : public ::testing::TestWithParam<std::string> {
@@ -289,6 +333,74 @@ TEST(TcpTest, ConnectFailureIsUnavailable) {
   EXPECT_TRUE(s.IsUnavailable()) << s.ToString();
 }
 
+TEST(TcpTest, WaitingMethodDoesNotStallInlineOnes) {
+  TcpTransport t;
+  auto svc = std::make_shared<LatchService>();
+  // Opens the latch before the transport joins its dispatch pool, also when
+  // an assertion below fails.
+  struct ReleaseOnExit {
+    LatchService* svc;
+    ~ReleaseOnExit() { svc->Release(); }
+  } release_on_exit{svc.get()};
+  auto bound = t.Serve("127.0.0.1:0", svc);
+  ASSERT_TRUE(bound.ok()) << bound.status().ToString();
+  auto ch = t.Connect(*bound);
+  ASSERT_TRUE(ch.ok());
+
+  auto parked_done = std::make_shared<CondVarWaitEvent>();
+  std::atomic<bool> parked_finished{false};
+  Status parked_status = Status::Internal("never completed");
+  std::string parked_out;
+  (*ch)->CallAsync(Method::kDhtDelete, Slice("held"),
+                   [&, parked_done](Status s, std::string out) {
+                     parked_status = std::move(s);
+                     parked_out = std::move(out);
+                     parked_finished = true;
+                     parked_done->Signal();
+                   });
+  ASSERT_TRUE(svc->WaitParked())
+      << "the waiting call never reached its handler";
+
+  // Pipelined behind the parked call on the same connection.
+  constexpr int kCalls = 16;
+  std::mutex mu;
+  std::condition_variable cv;
+  int remaining = kCalls;
+  std::atomic<int> mismatches{0};
+  for (int i = 0; i < kCalls; i++) {
+    std::string payload = "inline-" + std::to_string(i);
+    (*ch)->CallAsync(Method::kDhtPut, Slice(payload),
+                     [&, expect = payload](Status s, std::string out) {
+                       if (!s.ok() || out != expect) mismatches++;
+                       std::lock_guard<std::mutex> lock(mu);
+                       if (--remaining == 0) cv.notify_all();
+                     });
+  }
+  {
+    std::unique_lock<std::mutex> lock(mu);
+    ASSERT_TRUE(cv.wait_for(lock, std::chrono::seconds(5),
+                            [&] { return remaining == 0; }))
+        << remaining << " inline calls stalled behind the parked one";
+  }
+  EXPECT_EQ(mismatches.load(), 0);
+  EXPECT_FALSE(parked_finished.load());
+
+  // Every inline call ran on the one reactor thread, which is not the
+  // dispatch worker holding the parked call.
+  std::set<std::thread::id> inline_threads = svc->ThreadsOf(Method::kDhtPut);
+  std::set<std::thread::id> parked_threads =
+      svc->ThreadsOf(Method::kDhtDelete);
+  EXPECT_EQ(inline_threads.size(), 1u);
+  ASSERT_EQ(parked_threads.size(), 1u);
+  EXPECT_EQ(inline_threads.count(*parked_threads.begin()), 0u);
+
+  svc->Release();
+  parked_done->Await();
+  EXPECT_TRUE(parked_status.ok()) << parked_status.ToString();
+  EXPECT_EQ(parked_out, "held");
+  ASSERT_TRUE(t.StopServing(*bound).ok());
+}
+
 TEST(CompositeHandlerTest, RoutesByMethodBlock) {
   CompositeHandler composite;
   auto echo = std::make_shared<EchoService>();
@@ -297,6 +409,15 @@ TEST(CompositeHandlerTest, RoutesByMethodBlock) {
   EXPECT_TRUE(composite.Handle(Method::kDhtPut, Slice("a"), &out).ok());
   EXPECT_TRUE(composite.Handle(Method::kProviderRead, Slice("a"), &out)
                   .IsNotSupported());
+  // Blocks is the routed handler's answer, and true for a method no
+  // service owns.
+  EXPECT_TRUE(composite.Blocks(Method::kDhtPut));  // EchoService's default
+  EXPECT_TRUE(composite.Blocks(Method::kProviderRead));
+  CompositeHandler latched;
+  latched.Register(100, std::make_shared<LatchService>());
+  EXPECT_FALSE(latched.Blocks(Method::kDhtPut));
+  EXPECT_TRUE(latched.Blocks(Method::kDhtDelete));
+  EXPECT_TRUE(latched.Blocks(Method::kProviderRead));
 }
 
 // Typed call helpers.
